@@ -143,13 +143,17 @@ class TemplateChain:
     def current(self) -> BackgroundTemplate | None:
         return self.templates[-1] if self.templates else None
 
-    def admit(self, candidate: Frame) -> BackgroundTemplate | None:
-        """Gate the candidate; append and return a new template if admitted."""
+    def admit(self, candidate: Frame, score: float | None = None) -> BackgroundTemplate | None:
+        """Gate the candidate (score: its MS-SSIM against the current template,
+        if already computed); append and return a new template if admitted."""
         cur = self.current
-        if cur is not None and not should_update(cur.image, candidate, self.gamma):
-            return None
-        if cur is not None and candidate.frame_index <= cur.frame_index:
-            raise FbvError("template frame indices must increase strictly")
+        if cur is not None:
+            if score is None:
+                score = ms_ssim(cur.image, candidate)
+            if not score < self.gamma:
+                return None
+            if candidate.frame_index <= cur.frame_index:
+                raise FbvError("template frame indices must increase strictly")
         use_anchor = len(self.templates) % self.anchor_interval == 0
         tmpl = encode_template(None if use_anchor else cur, candidate)
         self.templates.append(tmpl)

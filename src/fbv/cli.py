@@ -15,7 +15,7 @@ from dataclasses import fields
 from .container import ContainerError
 from .core import FbvError, VideoFormatError, read_y4m, write_y4m
 from .entropy import EntropyDecodeError
-from .metrics import quality_csv, summary_json
+from .metrics import bpp, quality_csv, summary_json
 from .pipeline import (QUALITY_LADDER, EncoderConfig, analyze_bytes,
                        decode_bytes, encode, rd_sweep, sweep_csv)
 from .residual import QualityPoint
@@ -81,18 +81,15 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     result = encode(video, config)
     with open(args.output, "wb") as fh:
         fh.write(result.data)
-    q = result.quality
-    print(f"wrote {args.output}: {len(result.data)} bytes, "
-          f"{len(video.frames)} frames, bpp {q.bpp:.6f}")
-    print(f"psnr {q.psnr_mean:.2f} dB  ms-ssim {q.ms_ssim_mean:.6f}  "
-          f"fb-mixture {q.fb_mixture:.6f}  rd {q.rd_objective:.2f}")
+    n = len(video.frames)
+    rate = bpp(len(result.data), video.width, video.height, n)
+    print(f"wrote {args.output}: {len(result.data)} bytes, {n} frames, bpp {rate:.6f}")
     br, fr, fmv = result.budget.ratios
     print(f"bit split: BR {br:.4f}  FR {fr:.4f}  FMV {fmv:.4f}")
     print("timing (mean ms/frame):")
     for name, ms in result.timing.rows():
         print(f"  {name:24s} {ms:9.3f}")
-    print(f"encode total {result.timing.encode_total_s:.3f} s, "
-          f"decode total {result.timing.decode_total_s:.3f} s")
+    print(f"encode total {result.timing.encode_total_s:.3f} s")
     return EXIT_OK
 
 

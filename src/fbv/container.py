@@ -28,7 +28,7 @@ bracketing pair.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .core import FbvError, MIN_DIM, Region
@@ -143,18 +143,21 @@ class FbvStream:
                 RegionSet(f.regions, h.height, h.width)
             except ValueError as e:
                 raise ContainerError(f"invalid region list: {e}") from e
-        covered = set()
-        for start, end in self.segments:
+        # sorted intervals: the cost follows the record and segment counts,
+        # never the frame count the header claims
+        fg_frames = [f.frame_no for f in self.foregrounds]
+        prev_end = -1
+        for start, end in sorted(self.segments):
             if not (0 <= start <= end < h.frame_count):
                 raise ContainerError("segment range out of bounds")
-            span = set(range(start, end + 1))
-            if covered & span:
+            if start <= prev_end:
                 raise ContainerError("segments overlap")
-            covered |= span
-        fg_frames = {f.frame_no for f in self.foregrounds}
-        if covered & fg_frames:
-            raise ContainerError("frame both in segment and foreground index")
-        if covered | fg_frames != set(range(h.frame_count)):
+            prev_end = end
+            i = bisect_left(fg_frames, start)
+            if i < len(fg_frames) and fg_frames[i] <= end:
+                raise ContainerError("frame both in segment and foreground index")
+        # all disjoint and in range: complete iff the sizes add up
+        if len(fg_frames) + sum(e - s + 1 for s, e in self.segments) != h.frame_count:
             raise ContainerError("frame coverage incomplete")
 
 

@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.ndimage import correlate1d
 from scipy.signal import convolve2d
 
 from .core import Frame
@@ -59,19 +60,16 @@ def psnr(a, b) -> float:
     return min(PSNR_CAP_DB, 10.0 * np.log10(255.0 ** 2 / mse))
 
 
-def _gaussian_window() -> tuple[np.ndarray, np.ndarray]:
-    half = (_WIN_SIZE - 1) / 2.0
-    x = np.arange(_WIN_SIZE, dtype=np.float64) - half
-    g = np.exp(-(x * x) / (2.0 * 1.5 ** 2))
-    g /= g.sum()
-    return g.reshape(-1, 1), g.reshape(1, -1)
-
-
-_G_COL, _G_ROW = _gaussian_window()
+_HALF = _WIN_SIZE // 2
+_GAUSS = np.exp(-np.arange(-_HALF, _HALF + 1) ** 2 / (2.0 * 1.5 ** 2))
+_GAUSS /= _GAUSS.sum()
 
 
 def _filter_valid(img: np.ndarray) -> np.ndarray:
-    return convolve2d(convolve2d(img, _G_COL, mode="valid"), _G_ROW, mode="valid")
+    # the window is separable; the zero padding only reaches the border the crop drops
+    out = correlate1d(img, _GAUSS, axis=0, mode="constant")
+    out = correlate1d(out, _GAUSS, axis=1, mode="constant")
+    return out[_HALF:img.shape[0] - _HALF, _HALF:img.shape[1] - _HALF]
 
 
 def _ssim_terms(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:

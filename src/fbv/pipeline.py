@@ -140,22 +140,20 @@ class EncoderConfig:
 
 @dataclass(frozen=True)
 class TimingReport:
-    """Mean milliseconds per frame for each stage, plus wall totals.
+    """Mean milliseconds per frame for each encode stage, plus the wall total.
 
     The motion, compensation and residual rows are sub-stages of the
     foreground row, so the encode total bounds separation + background +
-    foreground (the exclusive encode-side stages).
+    foreground (the exclusive stages). DecodeResult times the decode.
     """
 
     separation_ms: float
     background_ms: float
     foreground_ms: float
-    decode_ms: float
     motion_ms: float
     compensation_ms: float
     residual_ms: float
     encode_total_s: float
-    decode_total_s: float
     frame_count: int
 
     def __post_init__(self) -> None:
@@ -168,7 +166,6 @@ class TimingReport:
             ("separation", self.separation_ms),
             ("background compression", self.background_ms),
             ("foreground compression", self.foreground_ms),
-            ("two-stage decoding", self.decode_ms),
             ("motion estimation", self.motion_ms),
             ("motion compensation", self.compensation_ms),
             ("residual codec", self.residual_ms),
@@ -179,7 +176,6 @@ class TimingReport:
 class EncodeResult:
     data: bytes
     stream: FbvStream
-    quality: QualityReport
     budget: BitBudgetReport
     timing: TimingReport
     gate_trace: tuple[float, ...]       # per-frame MS-SSIM vs current template
@@ -252,7 +248,10 @@ def _assemble_foreground(warped: Frame, decoded_patches, used: RegionSet,
 
 
 def encode(video: VideoSequence, config: EncoderConfig = EncoderConfig()) -> EncodeResult:
-    """Compress a sequence into a container plus reports; fully deterministic."""
+    """Compress a sequence into a container plus reports; fully deterministic.
+
+    Quality is scored by decode_bytes(result.data, reference=video).
+    """
     frames = video.frames
     n = len(frames)
     h, w = frames[0].height, frames[0].width
@@ -287,8 +286,8 @@ def encode(video: VideoSequence, config: EncoderConfig = EncoderConfig()) -> Enc
         candidate = Frame(sep.background.planes, t)
         score = ms_ssim(chain.current.image, candidate)
         gate_trace.append(score)
-        if score < config.gamma and t > chain.current.frame_index:
-            chain.admit(candidate)
+        if t > chain.current.frame_index:    # the anchor already holds frame 0
+            chain.admit(candidate, score)
         t2 = time.perf_counter()
         rs_cur = fp(frames[t], sep.points, config.fg_params)
         used = combine_regions(rs_prev, rs_cur)
@@ -322,23 +321,17 @@ def encode(video: VideoSequence, config: EncoderConfig = EncoderConfig()) -> Enc
     timgs = [(bt.frame_index, bt.image) for bt in chain.templates]
     recon = tuple(c.image for c in _composites(timgs, fg_recon, n))
 
-    # self-decode for the quality report and the decode-side timing row
-    dec = decode_bytes(data, enhance_output=config.feather_band > 0,
-                       band=max(config.feather_band, 1), reference=video)
     per_ms = lambda s: 1000.0 * s / n
     timing = TimingReport(
         separation_ms=per_ms(clock["separation"]),
         background_ms=per_ms(clock["background"]),
         foreground_ms=per_ms(clock["foreground"]),
-        decode_ms=dec.decode_ms,
         motion_ms=per_ms(clock["motion"]),
         compensation_ms=per_ms(clock["compensation"]),
         residual_ms=per_ms(clock["residual"]),
         encode_total_s=encode_total,
-        decode_total_s=dec.decode_total_s,
         frame_count=n)
-    return EncodeResult(data=data, stream=stream, quality=dec.quality,
-                        budget=budget_of(stream), timing=timing,
+    return EncodeResult(data=data, stream=stream, budget=budget_of(stream), timing=timing,
                         gate_trace=tuple(gate_trace), recon=recon)
 
 
@@ -591,10 +584,11 @@ def rd_sweep(video: VideoSequence, points,
     rows = []
     for q in resolved:
         cfg = replace(config, delta_q=q.delta_q, levels=q.levels)
-        res = encode(video, cfg)
-        rows.append(RdPoint(q.delta_q, q.levels, res.quality.bpp,
-                            res.quality.psnr_mean, res.quality.ms_ssim_mean,
-                            res.quality.fb_mixture))
+        data = encode(video, cfg).data
+        score = decode_bytes(data, enhance_output=cfg.feather_band > 0,
+                             band=max(cfg.feather_band, 1), reference=video).quality
+        rows.append(RdPoint(q.delta_q, q.levels, score.bpp, score.psnr_mean,
+                            score.ms_ssim_mean, score.fb_mixture))
     return rows
 
 

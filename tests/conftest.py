@@ -58,6 +58,19 @@ def static_video(h=64, w=64, n=20, bg=None, fps=(25, 1)):
     return VideoSequence(tuple(Frame(bg.copy(), t) for t in range(n)), *fps)
 
 
+def step_video(h=48, w=48, n=40, shifts=((12, -45), (24, 45))):
+    """Static scene whose global brightness jumps at the given frames."""
+    bg = smooth_texture(h, w, seed=6)
+    frames = []
+    level = 0
+    table = dict(shifts)
+    for t in range(n):
+        level = table.get(t, level)
+        planes = np.clip(bg.astype(np.int64) + level, 0, 255).astype(np.uint8)
+        frames.append(Frame(planes, t))
+    return VideoSequence(tuple(frames), 25, 1)
+
+
 @pytest.fixture(scope="session")
 def square_clip():
     return moving_square_video()

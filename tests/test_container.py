@@ -1,6 +1,8 @@
 """Wire format: round trips, validation taxonomy, retrieval plans."""
 
 import struct
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +189,26 @@ class TestStreamValidation:
 
 
 class TestWireErrors:
+    def test_huge_claimed_frame_count_costs_only_the_input(self):
+        # under 100 bytes, yet the header claims 4 M frames; the last
+        # segment ends one frame short, so coverage fails
+        n = 4_000_000
+        data = bytearray(write_stream(FbvStream(
+            _header(n), (TemplateRecord(0, True, b""),), (), ((0, n - 1),))))
+        assert len(data) < 100
+        struct.pack_into("<I", data, len(data) - 20 - 4, n - 2)
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            with pytest.raises(ContainerError, match="coverage incomplete"):
+                read_stream(bytes(data))
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 4 * 2 ** 20
+
     def test_bad_magic(self):
         with pytest.raises(ContainerError, match="bad magic"):
             read_stream(b"YUV4MPEG2 " + b"\x00" * 60)

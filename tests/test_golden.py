@@ -1,0 +1,69 @@
+"""Golden stream digests: the bitstream and its decode, pinned across changes.
+
+Each case encodes a small deterministic clip at one ladder point and checks
+the SHA-256 of the `.fbv` bytes and of the decoded (enhanced) frames against
+values recorded when this file was added. A change that alters either digest
+changed the bitstream or the decoder's output; it must then say so and
+record new digests here, rather than pass unnoticed. The clips cover the
+three shapes of stream: a moving square (foreground runs and a template
+chain), a static scene (background only) and an illumination step (gated
+template updates on global brightness).
+"""
+
+import hashlib
+from functools import lru_cache
+
+import pytest
+
+from fbv.pipeline import EncoderConfig, decode_bytes, encode
+
+from conftest import moving_square_video, static_video, step_video
+
+# name: (clip builder, encoder overrides)
+CLIPS = {
+    "square": (lambda: moving_square_video(n=12), {}),
+    "static": (lambda: static_video(n=10), {}),
+    "step": (lambda: step_video(h=64, w=64, n=20, shifts=((10, -45), (15, 45))),
+             {"learning_rate": 0.2}),
+}
+
+# (clip, ladder point): (sha256 of the stream, sha256 of the decoded frames)
+GOLDEN = {
+    ("square", 1): ('c572e0c0c8c7764dc3a041ee9bc970e3d207a0b91bf5ef689240fab7eab44bed', '058859b2ce8dc33794a3e03fc10ca311a651d72b3fc4db241fb84b74cf6d2af5'),
+    ("square", 2): ('66dc48be74fe8bc10710cc6a7fb2b7c5f1035e1d2cb73b11106ae3a73799fbc3', '12e4106955338f5d749ae07c3c42f1a516d3b8768f5d44c5c7fa79db3c12e72c'),
+    ("square", 3): ('ae0ee357469051b2a1f0a2fe57e494405adce36d1aaac93f9f31b2ae0f9f26f8', 'd9d2a78e8d6ea3a8d94855056a527c650b2e28bc977c5ef79e930ce4c16b20c1'),
+    ("square", 4): ('1d6108ec6c6674ace43e83cf8116db71227f88c8fcc2994c327788b0326ee5a3', '4b840f8b0eedd378c06bab3b73db8da02d57fcf89123e3da6ae41a55ab8f178e'),
+    ("static", 1): ('3882c451e6ae6c8dca7820828fad5fc5eb96b40833856389aa572cf12d61fe1a', 'bce13b2555a94c35f4e4fc7bd776a6f70f5c9069de3001fed5ee7b554ae1bf94'),
+    ("static", 2): ('ba4abee284d5f6000ed0e5fd7de643de809a4479ec9cb5a04a9b10461efe25fc', 'bce13b2555a94c35f4e4fc7bd776a6f70f5c9069de3001fed5ee7b554ae1bf94'),
+    ("static", 3): ('0f937080ccd84624a52c0d79a730a29f886040754893b5d62312554ba753c6d9', 'bce13b2555a94c35f4e4fc7bd776a6f70f5c9069de3001fed5ee7b554ae1bf94'),
+    ("static", 4): ('c79f23550759bc2daf87df910d6db5562db570207deb8acadcb277ecef39dfda', 'bce13b2555a94c35f4e4fc7bd776a6f70f5c9069de3001fed5ee7b554ae1bf94'),
+    ("step", 1): ('77048fc5247b68babbb0b75824280eb64c273dbb4531d2e729835926bdeee6c0', '9798cf4158524f448830bb9d281fbe68dea1c971d778f900937ba09a13c6254a'),
+    ("step", 2): ('3eaba7dc0bb6d230452a0455f8ee2f53e67e675e13785fb54a4c8f03fbc1f5a7', '57eb30a49faecc7ca3c5c46544f083058459e3761569ed9695fc9c3c4659e817'),
+    ("step", 3): ('ce69b995852d0e01c5617deb75d56903937d2b828d105703e24317dcfb7384d9', '5cbdc6a9c3488dd294dad0631bb30f249427ccf4cb85adbe2263e62a832e5107'),
+    ("step", 4): ('18a6535fee6ec00d18bc99fd8d713c1cc063c1bc6d0563a92657a75e3b21390a', 'bd8ee37553ec9f442004088ac00cc7375e4717be589c5d35c6f3e9c31af98910'),
+}
+
+
+@lru_cache(maxsize=None)
+def _clip(name):
+    return CLIPS[name][0]()
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _digests(name: str, point: int) -> tuple[str, str]:
+    cfg = EncoderConfig.from_quality(point, init_frames=8, **CLIPS[name][1])
+    data = encode(_clip(name), cfg).data
+    frames = decode_bytes(data).video.frames
+    return _sha(data), _sha(b"".join(f.planes.tobytes() for f in frames))
+
+
+@pytest.mark.parametrize("name,point", sorted(GOLDEN))
+def test_golden_digests(name, point):
+    assert _digests(name, point) == GOLDEN[name, point]
+
+
+def test_golden_table_covers_every_clip_and_ladder_point():
+    assert set(GOLDEN) == {(n, p) for n in CLIPS for p in (1, 2, 3, 4)}

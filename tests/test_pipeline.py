@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
+from fbv import bgtemplate, pipeline
 from fbv.container import ContainerError, budget_of, read_stream
-from fbv.core import FbvError, Frame, VideoSequence
+from fbv.core import FbvError, VideoSequence
+from fbv.metrics import ms_ssim
 from fbv.pipeline import (QUALITY_LADDER, EncoderConfig, TimingReport,
                           analyze_bytes, decode_bytes, decode_frame,
                           decode_stream, encode, rd_sweep, sweep_csv)
 from fbv.residual import QualityPoint
 
-from conftest import moving_square_video, smooth_texture
+from conftest import moving_square_video, step_video
 
 FAST = dict(init_frames=8)
 
@@ -23,19 +25,6 @@ def sq_video():
 @pytest.fixture(scope="module")
 def sq_result(sq_video):
     return encode(sq_video, EncoderConfig(**FAST))
-
-
-def _step_video(h=48, w=48, n=40, shifts=((12, -45), (24, 45))):
-    """Static scene whose global brightness jumps at the given frames."""
-    bg = smooth_texture(h, w, seed=6)
-    frames = []
-    level = 0
-    table = dict(shifts)
-    for t in range(n):
-        level = table.get(t, level)
-        planes = np.clip(bg.astype(np.int64) + level, 0, 255).astype(np.uint8)
-        frames.append(Frame(planes, t))
-    return VideoSequence(tuple(frames), 25, 1)
 
 
 class TestEncodeBasics:
@@ -55,8 +44,8 @@ class TestEncodeBasics:
         assert len(sq_result.gate_trace) == len(sq_video.frames)
         assert all(0.0 <= s <= 1.0 for s in sq_result.gate_trace)
 
-    def test_quality_report_is_sane(self, sq_result):
-        q = sq_result.quality
+    def test_quality_report_is_sane(self, sq_video, sq_result):
+        q = decode_bytes(sq_result.data, reference=sq_video).quality
         assert q is not None
         assert q.psnr_mean > 25.0
         assert 0.8 < q.ms_ssim_mean <= 1.0
@@ -86,6 +75,31 @@ class TestEncodeBasics:
 @pytest.fixture(scope="module")
 def static_result(static_clip):
     return encode(static_clip, EncoderConfig(**FAST))
+
+
+class TestEncodeOnlyEncodes:
+    def test_one_gate_evaluation_per_frame(self, monkeypatch):
+        video = step_video()
+        calls = []
+
+        def counted(a, b):
+            calls.append(None)
+            return ms_ssim(a, b)
+
+        monkeypatch.setattr(pipeline, "ms_ssim", counted)
+        monkeypatch.setattr(bgtemplate, "ms_ssim", counted)
+        result = encode(video, EncoderConfig(learning_rate=0.2, **FAST))
+        assert len(result.stream.templates) >= 3      # the anchor plus two
+        assert len(calls) == len(video.frames)
+
+    def test_encode_neither_decodes_nor_scores(self, sq_video, sq_result,
+                                               monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("encode must not decode or score its output")
+
+        monkeypatch.setattr(pipeline, "decode_bytes", forbidden)
+        monkeypatch.setattr(pipeline, "_quality_report", forbidden)
+        assert encode(sq_video, EncoderConfig(**FAST)).data == sq_result.data
 
 
 class TestStaticScene:
@@ -155,7 +169,7 @@ class TestRandomAccess:
     def test_across_anchor_restart(self):
         # brightness steps force three templates; cadence 2 makes the third
         # an anchor, so mid-bracket seeks must rebuild the earlier chain
-        video = _step_video()
+        video = step_video()
         cfg = EncoderConfig(anchor_interval=2, learning_rate=0.2, **FAST)
         result = encode(video, cfg)
         templates = result.stream.templates
@@ -208,12 +222,11 @@ class TestTiming:
         t = sq_result.timing
         assert t.frame_count == len(sq_video.frames)
         assert t.encode_total_s > 0
-        assert t.decode_total_s > 0
+        assert decode_bytes(sq_result.data).decode_total_s > 0
         labels = [name for name, _ in t.rows()]
         assert labels == ["separation", "background compression",
-                          "foreground compression", "two-stage decoding",
-                          "motion estimation", "motion compensation",
-                          "residual codec"]
+                          "foreground compression", "motion estimation",
+                          "motion compensation", "residual codec"]
         # exclusive stages fit inside the encode wall total
         n = t.frame_count
         stage_s = (t.separation_ms + t.background_ms + t.foreground_ms) * n / 1000.0
@@ -221,7 +234,7 @@ class TestTiming:
 
     def test_negative_timing_rejected(self):
         with pytest.raises(ValueError):
-            TimingReport(-1, 0, 0, 0, 0, 0, 0, 0, 0, 10)
+            TimingReport(-1, 0, 0, 0, 0, 0, 0, 10)
 
 
 class TestAnalyze:
