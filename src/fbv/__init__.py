@@ -9,23 +9,19 @@ in an indexed container built for random access.
 from .bgmodel import (GmmParams, GmmState, SeparationResult, background_estimate,
                       gmm_init, gmm_update, load_state, save_state)
 from .bgtemplate import (BackgroundTemplate, TemplateChain, decode_template,
-                         encode_template, interpolate_backgrounds,
-                         interpolated_background, should_update)
+                         encode_template, interpolated_background)
 from .container import (ContainerError, FbvStream, ForegroundRecord,
-                        RetrievalPlan, StreamHeader, TemplateRecord,
-                        build_segments, budget_of, lookup, read_stream,
-                        write_stream)
+                        StreamHeader, TemplateRecord, build_segments, budget_of,
+                        read_stream, write_stream)
 from .core import (FbvError, Frame, Region, VideoFormatError, VideoSequence,
-                   frame_from_planes, read_y4m, to_luma, write_y4m)
+                   frame_from_planes, read_y4m, write_y4m)
 from .decode import CompositeFrame, composite, enhance
 from .entropy import (BitBudgetReport, ContextModel, EntropyDecodeError,
-                      RangeDecoder, RangeEncoder, bit_cost)
-from .fgregion import (FgParams, RegionSet, combine_masks, combine_regions,
-                       extract_foreground, fp)
+                      RangeDecoder, RangeEncoder)
+from .fgregion import FgParams, RegionSet, combine_regions, fp
 from .metrics import (QualityReport, bpp, fb_mixture, laplacian_sharpness,
                       ms_ssim, psnr, rd_objective)
-from .motion import (FlowField, decode_flow, encode_flow, estimate_flow,
-                     predict, warp)
+from .motion import FlowField, decode_flow, encode_flow, estimate_flow, warp
 from .pipeline import (QUALITY_LADDER, AnalyzeReport, DecodeResult,
                        EncodeResult, EncoderConfig, RdPoint, TimingReport,
                        analyze_bytes, decode_bytes, decode_frame, decode_stream,

@@ -43,15 +43,6 @@ class BackgroundTemplate:
     anchor: bool
 
 
-def should_update(current_template: Frame, candidate: Frame, gamma: float = DEFAULT_GAMMA) -> bool:
-    """True when the candidate drifted enough (luma MS-SSIM below gamma)."""
-    if current_template.planes.shape != candidate.planes.shape:
-        raise ValueError("template and candidate dimensions differ")
-    if not (0.0 < gamma < 1.0):
-        raise ValueError("gamma must be in (0, 1)")
-    return ms_ssim(current_template, candidate) < gamma
-
-
 def _pad_residual(res: np.ndarray) -> np.ndarray:
     h, w = res.shape[1:]
     ph = (-h) % 8
@@ -92,22 +83,6 @@ def decode_template(prev: BackgroundTemplate | None, payload: bytes,
     return BackgroundTemplate(frame_index=frame_index,
                               image=Frame(rec, frame_index),
                               payload=payload, anchor=prev is None)
-
-
-def interpolate_backgrounds(b_prev: Frame, b_next: Frame, m: int) -> list[Frame]:
-    """The m-1 intermediate backgrounds between two templates, oldest first."""
-    if m < 1:
-        raise ValueError("interval must be >= 1")
-    if b_prev.planes.shape != b_next.planes.shape:
-        raise ValueError("template dimensions differ")
-    prev = b_prev.planes.astype(np.int64)
-    delta = b_next.planes.astype(np.int64) - prev
-    out = []
-    for k in range(1, m):
-        # prev + delta*k/m, round half up, exact in integers
-        planes = prev + (2 * delta * k + m) // (2 * m)
-        out.append(Frame(planes.astype(np.uint8), b_prev.frame_index + k))
-    return out
 
 
 def interpolated_background(b_prev: Frame, b_next: Frame, m: int, j: int) -> Frame:
@@ -158,20 +133,3 @@ class TemplateChain:
         tmpl = encode_template(None if use_anchor else cur, candidate)
         self.templates.append(tmpl)
         return tmpl
-
-    def bracket(self, frame_no: int) -> tuple[BackgroundTemplate, BackgroundTemplate, int, int]:
-        """(prev, next, m, j): bracketing templates, their spacing, and the back-offset of frame_no."""
-        if not self.templates:
-            raise FbvError("empty template chain")
-        ts = self.templates
-        if frame_no <= ts[0].frame_index:
-            return ts[0], ts[0], 1, 0
-        for prev, nxt in zip(ts, ts[1:]):
-            if prev.frame_index <= frame_no <= nxt.frame_index:
-                m = nxt.frame_index - prev.frame_index
-                return prev, nxt, m, nxt.frame_index - frame_no
-        return ts[-1], ts[-1], 1, 0
-
-    def background_for(self, frame_no: int) -> Frame:
-        prev, nxt, m, j = self.bracket(frame_no)
-        return interpolated_background(prev.image, nxt.image, m, j)

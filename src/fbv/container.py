@@ -28,7 +28,7 @@ bracketing pair.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import FbvError, MIN_DIM, Region
@@ -178,11 +178,11 @@ def build_segments(frame_count: int, fg_frames) -> tuple[tuple[int, int], ...]:
     return tuple(segments)
 
 
-def _template_payload(t: TemplateRecord) -> bytes:
+def template_payload(t: TemplateRecord) -> bytes:
     return _TEMPLATE_HEAD.pack(1 if t.anchor else 0, len(t.residual)) + t.residual
 
 
-def _foreground_payload(f: ForegroundRecord) -> bytes:
+def foreground_payload(f: ForegroundRecord) -> bytes:
     parts = [_U16.pack(len(f.regions))]
     for r in f.regions:
         parts.append(_REGION.pack(r.x, r.y, r.w, r.h))
@@ -202,8 +202,8 @@ def write_stream(stream: FbvStream) -> bytes:
     out += _HEADER.pack(h.width, h.height, h.fps_num, h.fps_den, h.frame_count,
                         h.levels, h.delta_fp, h.gamma_fp, h.flags)
 
-    records = [(t.frame_no, 0, TAG_TEMPLATE, _template_payload(t)) for t in stream.templates]
-    records += [(f.frame_no, 1, TAG_FOREGROUND, _foreground_payload(f)) for f in stream.foregrounds]
+    records = [(t.frame_no, 0, TAG_TEMPLATE, template_payload(t)) for t in stream.templates]
+    records += [(f.frame_no, 1, TAG_FOREGROUND, foreground_payload(f)) for f in stream.foregrounds]
     records.sort(key=lambda r: (r[0], r[1]))
 
     bg_index: list[tuple[int, int]] = []
@@ -347,56 +347,6 @@ def _check_index(entries, records, tag, offsets, what) -> None:
     for (frame_no, offset), rec in zip(entries, records):
         if offsets.get(offset) != (tag, frame_no) or rec.frame_no != frame_no:
             raise ContainerError(f"{what} index entry disagrees with records")
-
-
-@dataclass(frozen=True)
-class RetrievalPlan:
-    """Everything needed to decode one frame without scanning the stream."""
-
-    frame_no: int
-    bg_prev: TemplateRecord
-    bg_next: TemplateRecord
-    interval: int    # m: frames between the bracketing templates
-    offset: int      # j: bg_next.frame_no - frame_no (0 when on a template)
-    foreground: ForegroundRecord | None
-    template_chain: tuple[TemplateRecord, ...]  # anchor at/before bg_prev .. bg_next
-
-
-def lookup(stream: FbvStream, frame_no: int) -> RetrievalPlan:
-    """Retrieval plan for one frame: template bracket plus foreground record."""
-    h = stream.header
-    if not (0 <= frame_no < h.frame_count):
-        raise ContainerError(f"frame {frame_no} out of range 0..{h.frame_count - 1}")
-    ts = stream.templates
-    frames = [t.frame_no for t in ts]
-    pos = bisect_right(frames, frame_no)
-    if pos == 0:
-        prev_i = next_i = 0
-    elif pos == len(ts):
-        prev_i = next_i = len(ts) - 1
-    else:
-        prev_i, next_i = pos - 1, pos
-        if ts[prev_i].frame_no == frame_no:
-            next_i = prev_i
-    prev_t, next_t = ts[prev_i], ts[next_i]
-    if prev_i == next_i:
-        m, j = 1, 0
-    else:
-        m = next_t.frame_no - prev_t.frame_no
-        j = next_t.frame_no - frame_no
-
-    # the chain must cover bg_prev too, so walk back from the earlier side
-    anchor_i = prev_i
-    while not ts[anchor_i].anchor:
-        anchor_i -= 1
-
-    fg = None
-    fg_frames = [f.frame_no for f in stream.foregrounds]
-    k = bisect_right(fg_frames, frame_no) - 1
-    if k >= 0 and fg_frames[k] == frame_no:
-        fg = stream.foregrounds[k]
-    return RetrievalPlan(frame_no, prev_t, next_t, m, j, fg,
-                         tuple(ts[anchor_i:next_i + 1]))
 
 
 def budget_of(stream: FbvStream) -> BitBudgetReport:

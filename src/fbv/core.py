@@ -1,4 +1,4 @@
-"""Frame primitives and raw video I/O.
+"""Frame primitives and Y4M video I/O.
 
 Frames are 8-bit Y'CbCr at full (4:4:4) resolution internally; 4:2:0 input
 is upsampled by sample duplication at ingest and downsampled by 2x2 mean at
@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import io
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Iterable
 
 import numpy as np
 
@@ -29,10 +29,6 @@ class VideoFormatError(FbvError):
 def round_half_up(x: np.ndarray) -> np.ndarray:
     """Round to nearest integer, halves toward +infinity. Returns int64."""
     return np.floor(np.asarray(x, dtype=np.float64) + 0.5).astype(np.int64)
-
-
-def clip_u8(x: np.ndarray) -> np.ndarray:
-    return np.clip(x, 0, 255).astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -68,11 +64,6 @@ class Frame:
 
 def frame_from_planes(y: np.ndarray, cb: np.ndarray, cr: np.ndarray, frame_index: int = 0) -> Frame:
     return Frame(np.stack([y, cb, cr]).astype(np.uint8), frame_index)
-
-
-def to_luma(frame: Frame) -> np.ndarray:
-    """The Y' plane, unchanged, shaped (height, width)."""
-    return frame.planes[0]
 
 
 @dataclass(frozen=True)
@@ -118,27 +109,6 @@ class Region:
     def contains(self, other: "Region") -> bool:
         return self.x <= other.x and self.y <= other.y and self.x2 >= other.x2 and self.y2 >= other.y2
 
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.x, self.y, self.w, self.h)
-
-
-def crop(frame: Frame, region: Region) -> np.ndarray:
-    """Copy of the region's samples, shaped (3, region.h, region.w)."""
-    if region.x2 > frame.width or region.y2 > frame.height:
-        raise ValueError(f"region {region} exceeds frame {frame.width}x{frame.height}")
-    return frame.planes[:, region.y:region.y2, region.x:region.x2].copy()
-
-
-def paste(frame: Frame, region: Region, patch: np.ndarray) -> Frame:
-    """New frame with the region's samples replaced by patch (3, h, w)."""
-    if patch.shape != (3, region.h, region.w):
-        raise ValueError(f"patch shape {patch.shape} does not match region {region}")
-    if region.x2 > frame.width or region.y2 > frame.height:
-        raise ValueError(f"region {region} exceeds frame {frame.width}x{frame.height}")
-    planes = frame.planes.copy()
-    planes[:, region.y:region.y2, region.x:region.x2] = patch
-    return Frame(planes, frame.frame_index)
-
 
 @dataclass(frozen=True)
 class VideoSequence:
@@ -175,11 +145,6 @@ class VideoSequence:
 
     def __iter__(self) -> Iterable[Frame]:
         return iter(self.frames)
-
-
-def sequence_from_arrays(planes: Sequence[np.ndarray], fps_num: int = 25, fps_den: int = 1) -> VideoSequence:
-    return VideoSequence(tuple(Frame(np.ascontiguousarray(p, dtype=np.uint8), i) for i, p in enumerate(planes)),
-                         fps_num, fps_den)
 
 
 def _upsample_420(chroma: np.ndarray) -> np.ndarray:
@@ -231,7 +196,10 @@ def read_y4m(source: str | bytes | BinaryIO) -> VideoSequence:
     Supports C420* (upsampled by duplication) and C444 tags. A frame payload
     cut short raises an error naming the last complete frame.
     """
-    stream = _as_stream(source)
+    if isinstance(source, str):
+        with open(source, "rb") as fh:
+            return read_y4m(fh)
+    stream = io.BytesIO(bytes(source)) if isinstance(source, (bytes, bytearray)) else source
     header = _read_line(stream, "stream header")
     width, height, fps_num, fps_den, chroma = _parse_y4m_header(header)
     if chroma.startswith("420"):
@@ -254,40 +222,6 @@ def read_y4m(source: str | bytes | BinaryIO) -> VideoSequence:
     if not frames:
         raise VideoFormatError("stream contains no frames")
     return VideoSequence(tuple(frames), fps_num, fps_den)
-
-
-def read_raw_420(source: str | bytes | BinaryIO, width: int, height: int,
-                 fps_num: int = 25, fps_den: int = 1) -> VideoSequence:
-    """Parse headerless planar 4:2:0 given an explicit geometry descriptor."""
-    if width % 2 or height % 2:
-        raise VideoFormatError("4:2:0 requires even dimensions")
-    stream = _as_stream(source)
-    frames: list[Frame] = []
-    while True:
-        probe = stream.read(1)
-        if probe == b"":
-            break
-        stream.seek(-1, io.SEEK_CUR)
-        frames.append(_read_frame_payload(stream, width, height, True, len(frames)))
-    if not frames:
-        raise VideoFormatError("stream contains no frames")
-    return VideoSequence(tuple(frames), fps_num, fps_den)
-
-
-def read_raw_video(source: str | bytes | BinaryIO, width: int | None = None, height: int | None = None,
-                   fps_num: int = 25, fps_den: int = 1) -> VideoSequence:
-    """Read a Y4M stream, or headerless 4:2:0 when a geometry is supplied."""
-    if width is None or height is None:
-        return read_y4m(source)
-    return read_raw_420(source, width, height, fps_num, fps_den)
-
-
-def _as_stream(source: str | bytes | BinaryIO) -> BinaryIO:
-    if isinstance(source, str):
-        return open(source, "rb")
-    if isinstance(source, (bytes, bytearray)):
-        return io.BytesIO(bytes(source))
-    return source
 
 
 def _read_line(stream: BinaryIO, what: str) -> bytes:

@@ -258,15 +258,3 @@ class BitBudgetReport:
         if t == 0:
             return (0.0, 0.0, 0.0)
         return (self.bits_bg_residual / t, self.bits_fg_residual / t, self.bits_fg_motion / t)
-
-
-def bit_cost(bg_residual_payloads, fg_residual_payloads, fg_motion_payloads) -> BitBudgetReport:
-    """Account payload byte strings (or lengths) into a BitBudgetReport."""
-    def bits(items) -> int:
-        total = 0
-        for it in items:
-            total += (it if isinstance(it, int) else len(it)) * 8
-        return total
-
-    return BitBudgetReport(bits(bg_residual_payloads), bits(fg_residual_payloads),
-                           bits(fg_motion_payloads))

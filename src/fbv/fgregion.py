@@ -145,16 +145,3 @@ def combine_regions(fp_prev: RegionSet, fp_cur: RegionSet) -> RegionSet:
         raise ValueError("region sets have different frame dimensions")
     rects = list(fp_prev.regions) + list(fp_cur.regions)
     return RegionSet(tuple(_merge_transitive(rects)), fp_cur.height, fp_cur.width)
-
-
-def combine_masks(fp_prev: RegionSet, fp_cur: RegionSet) -> np.ndarray:
-    """Mask of combine_regions: covers object positions at both times."""
-    return combine_regions(fp_prev, fp_cur).mask
-
-
-def extract_foreground(frame: Frame, mask: np.ndarray) -> Frame:
-    """Frame values inside the mask, zero outside."""
-    if mask.shape != (frame.height, frame.width):
-        raise ValueError("mask does not match frame dimensions")
-    planes = np.where(mask[None], frame.planes, 0).astype(np.uint8)
-    return Frame(planes, frame.frame_index)

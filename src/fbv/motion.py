@@ -1,7 +1,7 @@
 """Block motion estimation, flow coding, and backward warping.
 
 Flow is estimated per 8x8 block on luma by exhaustive search over integer
-displacements within +/-search_range pels, then refined to half-pel
+displacements within +/-SEARCH_RANGE pels, then refined to half-pel
 precision against the same integer bilinear sampler the warper uses.
 Candidates tie-break by (SAD, |v|^2, v_y, v_x), so flat blocks come out
 (0, 0) and results are order-free. Components are stored in half-pel units.
@@ -184,11 +184,6 @@ def warp(prev_fg: Frame, flow: FlowField, regions: RegionSet) -> Frame:
             out[ch, region.y:region.y2, region.x:region.x2] = _sample_halfpel(
                 prev[ch], pos_y, pos_x)
     return Frame(out.astype(np.uint8), prev_fg.frame_index)
-
-
-def predict(prev_fg: Frame, warped: Frame, flow: FlowField) -> Frame:
-    """Identity compensation: the prediction is the warped foreground."""
-    return warped
 
 
 def _median3(a: int, b: int, c: int) -> int:

@@ -20,31 +20,37 @@ optionally feathered. Feathering never enters the prediction loop, so the
 pre-enhancement reconstructions on both sides are bit-identical. Both
 directions are pure functions of (bytes, options): encoding the same input
 twice yields byte-identical streams.
+
+The encoder's closed-loop reconstruction, the full decode and a single-frame
+seek assemble frames through the same helpers: _bracket picks the templates
+around a frame, _decode_templates decodes a template chain from an anchor,
+and _composites interpolates and composites. A seek (decode_frame) decodes
+only the templates from the nearest anchor at or before the bracket's first
+template through its second, and only the foreground run that ends at the
+frame.
 """
 
 from __future__ import annotations
 
 import io
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .bgmodel import GmmParams, background_estimate, gmm_init, gmm_update
-from .bgtemplate import (BackgroundTemplate, TemplateChain, decode_template,
-                         interpolated_background)
-from .container import (FbvStream, ForegroundRecord, RetrievalPlan, StreamHeader,
-                        TemplateRecord, build_segments, budget_of, lookup,
-                        read_stream, write_stream)
+from .bgtemplate import TemplateChain, decode_template, interpolated_background
+from .container import (ContainerError, FbvStream, ForegroundRecord, StreamHeader,
+                        TemplateRecord, build_segments, budget_of, foreground_payload,
+                        read_stream, template_payload, write_stream)
 from .core import FbvError, Frame, VideoSequence
 from .decode import DEFAULT_BAND, CompositeFrame, composite, enhance
 from .entropy import BitBudgetReport
 from .fgregion import FgParams, RegionSet, combine_regions, fp
 from .metrics import (QualityReport, bpp, fb_mixture, laplacian_sharpness,
                       ms_ssim, psnr, rd_objective)
-from .motion import (BLOCK, SEARCH_RANGE, decode_flow, encode_flow,
-                     estimate_flow, predict, warp)
+from .motion import decode_flow, encode_flow, estimate_flow, warp
 from .residual import QualityPoint, decode_residual, encode_residual, \
     reconstruct_foreground
 
@@ -84,19 +90,12 @@ class EncoderConfig:
     dilate_size: int = 5
     min_component_pixels: int = 16
     grid: int = 8
-    block_size: int = 8
-    search_range: int = 16
     anchor_interval: int = 16
     feather_band: int = 3
 
     def __post_init__(self) -> None:
         if not (0.0 < self.gamma < 1.0):
             raise ValueError("gamma must be in (0, 1)")
-        # these two are pinned by the bitstream's vector bounds
-        if self.block_size != BLOCK:
-            raise ValueError(f"block_size is fixed at {BLOCK}")
-        if self.search_range != SEARCH_RANGE:
-            raise ValueError(f"search_range is fixed at {SEARCH_RANGE}")
         if self.anchor_interval < 1:
             raise ValueError("anchor_interval must be >= 1")
         if not (0 <= self.feather_band <= 16):
@@ -221,7 +220,7 @@ def _code_foreground(ref: Frame, cur: Frame, used: RegionSet, q: QualityPoint,
     flow = estimate_flow(ref, cur, used)
     flow_bytes = encode_flow(flow)
     t1 = time.perf_counter()
-    warped = predict(ref, warp(ref, flow, used), flow)
+    warped = warp(ref, flow, used)
     t2 = time.perf_counter()
     patches = []
     for r in used.regions:
@@ -318,8 +317,8 @@ def encode(video: VideoSequence, config: EncoderConfig = EncoderConfig()) -> Enc
     encode_total = time.perf_counter() - t_start
 
     # encoder-side reconstructions (pre-enhancement), for the closed-loop check
-    timgs = [(bt.frame_index, bt.image) for bt in chain.templates]
-    recon = tuple(c.image for c in _composites(timgs, fg_recon, n))
+    timgs = [bt.image for bt in chain.templates]
+    recon = tuple(c.image for c, _ in _composites(timgs, fg_recon, range(n)))
 
     per_ms = lambda s: 1000.0 * s / n
     timing = TimingReport(
@@ -335,14 +334,26 @@ def encode(video: VideoSequence, config: EncoderConfig = EncoderConfig()) -> Enc
                         gate_trace=tuple(gate_trace), recon=recon)
 
 
-def _decoded_templates(stream: FbvStream) -> list[tuple[int, Frame]]:
+def _bracket(tframes, t: int) -> tuple[int, int]:
+    """Indices (i, k) of the templates whose interpolation is frame t's
+    background; i == k on a template frame and outside the template span."""
+    pos = bisect_right(tframes, t)
+    if pos == 0:
+        return 0, 0
+    if pos == len(tframes) or tframes[pos - 1] == t:
+        return pos - 1, pos - 1
+    return pos - 1, pos
+
+
+def _decode_templates(stream: FbvStream, records) -> list[Frame]:
+    """Template images of consecutive records, the first of them an anchor."""
     h, w = stream.header.height, stream.header.width
-    prev: BackgroundTemplate | None = None
+    prev = None
     out = []
-    for tr in stream.templates:
+    for tr in records:
         prev = decode_template(None if tr.anchor else prev, tr.residual,
                                tr.frame_no, h, w)
-        out.append((tr.frame_no, prev.image))
+        out.append(prev.image)
     return out
 
 
@@ -359,7 +370,7 @@ def _decode_foreground(stream: FbvStream, records) -> dict[int, tuple[RegionSet,
         ref = prev_fg if contiguous and prev_fg is not None \
             else _zero_frame(h, w, rec.frame_no)
         flow = decode_flow(rec.flow, rs)
-        warped = predict(ref, warp(ref, flow, rs), flow)
+        warped = warp(ref, flow, rs)
         patches = decode_residual(rec.residual, _padded_shapes(rec.regions), q)
         fg = _assemble_foreground(warped, patches, rs, rec.frame_no)
         out[rec.frame_no] = (rs, fg)
@@ -367,47 +378,37 @@ def _decode_foreground(stream: FbvStream, records) -> dict[int, tuple[RegionSet,
     return out
 
 
-def _composites(timgs, fg_map, frame_count: int) -> list[CompositeFrame]:
-    """Mask-composite every frame from template bracket plus foreground map."""
-    tframes = [f for f, _ in timgs]
-    out = []
-    for t in range(frame_count):
-        pos = bisect_right(tframes, t)
-        if pos == 0:
-            bg = timgs[0][1]
-        elif pos == len(timgs):
-            bg = timgs[-1][1]
-        else:
-            fp_, fn = tframes[pos - 1], tframes[pos]
-            bg = interpolated_background(timgs[pos - 1][1], timgs[pos][1],
-                                         fn - fp_, fn - t)
-        bg = Frame(bg.planes, t)
+def _composites(timgs, fg_map, frame_nos):
+    """(composite, regions or None) per frame: the foreground of fg_map over
+    the background interpolated between the bracketing template images."""
+    tframes = [img.frame_index for img in timgs]
+    for t in frame_nos:
+        i, k = _bracket(tframes, t)
+        m, j = (tframes[k] - tframes[i], tframes[k] - t) if i != k else (1, 0)
+        bg = Frame(interpolated_background(timgs[i], timgs[k], m, j).planes, t)
         if t in fg_map:
             rs, fg = fg_map[t]
-            out.append(composite(fg, bg, rs.mask))
+            yield composite(fg, bg, rs.mask), rs
         else:
-            hh, ww = bg.height, bg.width
-            out.append(CompositeFrame(bg, np.zeros((hh, ww), dtype=bool)))
-    return out
+            yield CompositeFrame(bg, np.zeros((bg.height, bg.width), dtype=bool)), None
+
+
+def _output(comp: CompositeFrame, rs: RegionSet | None, enhance_output: bool,
+            band: int) -> Frame:
+    if rs is None or not enhance_output:
+        return comp.image
+    return enhance(comp, rs, band)
 
 
 def decode_stream(stream: FbvStream, enhance_output: bool = True,
                   band: int = DEFAULT_BAND) -> tuple[list[Frame], list[Frame]]:
     """Full-sequence decode. Returns (pre-enhancement, output) frame lists."""
-    n = stream.header.frame_count
-    timgs = _decoded_templates(stream)
+    timgs = _decode_templates(stream, stream.templates)
     fg_map = _decode_foreground(stream, stream.foregrounds)
-    comps = _composites(timgs, fg_map, n)
-    pre = [c.image for c in comps]
-    if not enhance_output:
-        return pre, list(pre)
-    out = []
-    for t, c in enumerate(comps):
-        if t in fg_map:
-            out.append(enhance(c, fg_map[t][0], band))
-        else:
-            out.append(c.image)
-    return pre, out
+    # composite every frame before enhancing any: interleaving the two raised peak RSS
+    comps = list(_composites(timgs, fg_map, range(stream.header.frame_count)))
+    pre = [c.image for c, _ in comps]
+    return pre, [_output(c, rs, enhance_output, band) for c, rs in comps]
 
 
 def decode_bytes(data: bytes, enhance_output: bool = True,
@@ -431,32 +432,24 @@ def decode_bytes(data: bytes, enhance_output: bool = True,
 def decode_frame(stream: FbvStream, frame_no: int, enhance_output: bool = True,
                  band: int = DEFAULT_BAND) -> Frame:
     """Random access: decode one frame, bit-identical to the sequential path."""
-    plan: RetrievalPlan = lookup(stream, frame_no)
-    prev: BackgroundTemplate | None = None
-    images = {}
-    for tr in plan.template_chain:
-        prev = decode_template(None if tr.anchor else prev, tr.residual,
-                               tr.frame_no, stream.header.height,
-                               stream.header.width)
-        images[tr.frame_no] = prev.image
-    bg = interpolated_background(images[plan.bg_prev.frame_no],
-                                 images[plan.bg_next.frame_no],
-                                 plan.interval, plan.offset)
-    bg = Frame(bg.planes, frame_no)
-    if plan.foreground is None:
-        return bg
-    # walk back to the run start: the first record decoded from a zero reference
-    fgs = stream.foregrounds
-    idx = next(i for i, r in enumerate(fgs) if r.frame_no == frame_no)
-    start = idx
-    while start > 0 and fgs[start - 1].frame_no == fgs[start].frame_no - 1:
-        start -= 1
-    fg_map = _decode_foreground(stream, fgs[start:idx + 1])
-    rs, fg = fg_map[frame_no]
-    comp = composite(fg, bg, rs.mask)
-    if not enhance_output:
-        return comp.image
-    return enhance(comp, rs, band)
+    n = stream.header.frame_count
+    if not 0 <= frame_no < n:
+        raise ContainerError(f"frame {frame_no} out of range 0..{n - 1}")
+    ts = stream.templates
+    i, k = _bracket([tr.frame_no for tr in ts], frame_no)
+    a = i
+    while not ts[a].anchor:
+        a -= 1
+    timgs = _decode_templates(stream, ts[a:k + 1])
+    fg_frames = [r.frame_no for r in stream.foregrounds]
+    end = bisect_right(fg_frames, frame_no)
+    run = ()
+    if end and fg_frames[end - 1] == frame_no:
+        # a run's frame numbers are consecutive, so frame_no - index is constant on it
+        lag = [f - idx for idx, f in enumerate(fg_frames)]
+        run = stream.foregrounds[bisect_left(lag, lag[end - 1]):end]
+    (comp, rs), = _composites(timgs, _decode_foreground(stream, run), [frame_no])
+    return _output(comp, rs, enhance_output, band)
 
 
 def _masked(planes: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -539,10 +532,9 @@ def analyze_bytes(data: bytes) -> AnalyzeReport:
     for _, kind, rec in rows:
         if kind == 0:
             tag = "anchor" if rec.anchor else "chained"
-            p(f"  template  {rec.frame_no:7d}  {len(rec.residual) + 5:13d}  {tag}")
+            p(f"  template  {rec.frame_no:7d}  {len(template_payload(rec)):13d}  {tag}")
         else:
-            p(f"  fgframe   {rec.frame_no:7d}  "
-              f"{2 + 8 * len(rec.regions) + 8 + len(rec.flow) + len(rec.residual):13d}  "
+            p(f"  fgframe   {rec.frame_no:7d}  {len(foreground_payload(rec)):13d}  "
               f"{len(rec.regions)} region(s), flow {len(rec.flow)} B, "
               f"residual {len(rec.residual)} B")
     p("")

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbv.bgtemplate import (ANCHOR_VALUE, TemplateChain, decode_template,
-                            encode_template, interpolate_backgrounds,
-                            interpolated_background, should_update)
+                            encode_template, interpolated_background)
+from fbv.container import FbvStream, StreamHeader, build_segments, write_stream
 from fbv.core import FbvError, Frame
+from fbv.pipeline import _bracket
 
 from conftest import smooth_texture
 
@@ -101,15 +102,6 @@ class TestInterpolation:
         assert np.array_equal(got.planes, want)
         assert got.frame_index == m - j
 
-    def test_list_form_agrees_with_single_form(self, textured):
-        b_next = _shift(textured, -60, 8)
-        mids = interpolate_backgrounds(textured, b_next, 8)
-        assert len(mids) == 7
-        for k, f in enumerate(mids, start=1):
-            single = interpolated_background(textured, b_next, 8, 8 - k)
-            assert np.array_equal(f.planes, single.planes)
-            assert f.frame_index == k
-
     def test_midpoint_rounds_half_up(self):
         prev = _frame(np.full((3, 16, 16), 100), 0)
         nxt = _frame(np.full((3, 16, 16), 101), 2)
@@ -123,43 +115,46 @@ class TestInterpolation:
 
     def test_validation(self, textured):
         with pytest.raises(ValueError):
-            interpolate_backgrounds(textured, textured, 0)
-        with pytest.raises(ValueError):
             interpolated_background(textured, textured, 4, 5)
-        small = _frame(np.zeros((3, 16, 16)), 0)
-        with pytest.raises(ValueError):
-            interpolate_backgrounds(textured, small, 4)
 
 
 class TestGate:
+    """The gate the encoder runs: TemplateChain.admit against the current template."""
+
+    @staticmethod
+    def _admit(current, candidate):
+        chain = TemplateChain()
+        chain.admit(current)
+        return chain.admit(candidate)
+
     def test_identical_image_never_updates(self, textured):
-        assert not should_update(textured, textured)
+        assert self._admit(textured, _frame(textured.planes, 1)) is None
 
     def test_large_brightness_shift_updates(self, textured):
-        assert should_update(textured, _shift(textured, 40, 1))
-        assert should_update(textured, _shift(textured, -40, 1))
+        for amount in (40, -40):
+            assert self._admit(textured, _shift(textured, amount, 1)) is not None
 
     def test_mild_noise_stays(self, textured):
         rng = np.random.default_rng(5)
         noise = rng.integers(-1, 2, textured.planes.shape)
         near = _frame(np.clip(textured.planes.astype(np.int64) + noise, 0, 255), 1)
-        assert not should_update(textured, near)
+        assert self._admit(textured, near) is None
 
-    def test_gamma_validation(self, textured):
-        with pytest.raises(ValueError):
-            should_update(textured, textured, gamma=0.0)
-        with pytest.raises(ValueError):
-            should_update(textured, textured, gamma=1.0)
+    def test_gamma_validation(self):
+        for gamma in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                TemplateChain(gamma=gamma)
 
     def test_dimension_mismatch(self, textured):
-        other = _frame(np.zeros((3, 32, 32)), 0)
-        with pytest.raises(ValueError):
-            should_update(textured, other)
+        other = _frame(np.zeros((3, 32, 32)), 1)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            self._admit(textured, other)
 
 
 class TestChain:
     def test_first_candidate_always_admitted_as_anchor(self, textured):
         chain = TemplateChain()
+        assert chain.current is None
         t = chain.admit(textured)
         assert t is not None and t.anchor
         assert chain.current is t
@@ -193,30 +188,31 @@ class TestChain:
         t0 = chain.admit(_frame(textured.planes, 0))
         t1 = chain.admit(_shift(textured, 40, 10))
         t2 = chain.admit(_shift(textured, 80, 25))
-        assert chain.bracket(-3) == (t0, t0, 1, 0)
-        assert chain.bracket(0) == (t0, t0, 1, 0)
-        assert chain.bracket(5) == (t0, t1, 10, 5)
-        assert chain.bracket(10) == (t0, t1, 10, 0)
-        assert chain.bracket(17) == (t1, t2, 15, 8)
-        assert chain.bracket(25) == (t1, t2, 15, 0)
-        assert chain.bracket(99) == (t2, t2, 1, 0)
+        tframes = [t.frame_index for t in chain.templates]
 
-    def test_background_for_interpolates(self, textured):
-        chain = TemplateChain()
-        chain.admit(_frame(textured.planes, 0))
-        chain.admit(_shift(textured, 40, 10))
-        t0, t1 = chain.templates
-        mid = chain.background_for(5)
-        want = interpolated_background(t0.image, t1.image, 10, 5)
-        assert np.array_equal(mid.planes, want.planes)
-        outside = chain.background_for(50)
-        assert np.array_equal(outside.planes, t1.image.planes)
+        def bracket(t):
+            i, k = _bracket(tframes, t)
+            m, j = (tframes[k] - tframes[i], tframes[k] - t) if i != k else (1, 0)
+            return chain.templates[i], chain.templates[k], m, j
+
+        assert bracket(-3) == (t0, t0, 1, 0)
+        assert bracket(0) == (t0, t0, 1, 0)
+        assert bracket(5) == (t0, t1, 10, 5)
+        assert bracket(10) == (t1, t1, 1, 0)
+        assert bracket(17) == (t1, t2, 15, 8)
+        assert bracket(25) == (t2, t2, 1, 0)
+        assert bracket(99) == (t2, t2, 1, 0)
 
     def test_empty_chain_has_no_bracket(self):
+        # an empty chain has no background, and no stream can be written from it
         chain = TemplateChain()
         assert chain.current is None
-        with pytest.raises(FbvError):
-            chain.bracket(0)
+        stream = FbvStream(StreamHeader(width=16, height=16, fps_num=25, fps_den=1,
+                                        frame_count=4, levels=1, delta_fp=2048,
+                                        gamma_fp=9800),
+                           tuple(chain.templates), (), build_segments(4, ()))
+        with pytest.raises(FbvError, match="no background template"):
+            write_stream(stream)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

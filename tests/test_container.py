@@ -1,4 +1,4 @@
-"""Wire format: round trips, validation taxonomy, retrieval plans."""
+"""Wire format: round trips, validation taxonomy, bit budgets."""
 
 import struct
 import time
@@ -7,11 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fbv.container import (FbvStream, ForegroundRecord, RetrievalPlan,
-                           StreamHeader, TemplateRecord, budget_of,
-                           build_segments, lookup, read_stream, write_stream,
-                           ContainerError)
+from fbv.container import (FbvStream, ForegroundRecord, StreamHeader,
+                           TemplateRecord, budget_of, build_segments,
+                           read_stream, write_stream, ContainerError)
 from fbv.core import Region
+from fbv.pipeline import _bracket, decode_frame
 from fbv.residual import QualityPoint
 
 
@@ -275,6 +275,8 @@ class TestSegments:
 
 
 class TestLookup:
+    """How the decoder locates a frame's records in a stream's indexes."""
+
     @pytest.fixture()
     def stream(self):
         rng = np.random.default_rng(1)
@@ -283,48 +285,22 @@ class TestLookup:
                      TemplateRecord(180, True, _bytes(rng, 10)))
         fgs = (ForegroundRecord(120, (Region(0, 0, 8, 8),),
                                 _bytes(rng, 4), _bytes(rng, 6)),)
-        return FbvStream(_header(frame_count=200), templates, fgs,
-                         build_segments(200, (120,)))
+        return read_stream(write_stream(FbvStream(
+            _header(frame_count=200), templates, fgs, build_segments(200, (120,)))))
 
     def test_between_templates(self, stream):
-        plan = lookup(stream, 120)
-        assert plan.bg_prev.frame_no == 100
-        assert plan.bg_next.frame_no == 140
-        assert (plan.interval, plan.offset) == (40, 20)
-        assert plan.foreground is stream.foregrounds[0]
-        assert [t.frame_no for t in plan.template_chain] == [100, 140]
-
-    def test_on_template_frame(self, stream):
-        plan = lookup(stream, 140)
-        assert plan.bg_prev is plan.bg_next
-        assert (plan.interval, plan.offset) == (1, 0)
-        assert plan.foreground is None
-        assert [t.frame_no for t in plan.template_chain] == [100, 140]
-
-    def test_before_first_template(self, stream):
-        plan = lookup(stream, 50)
-        assert plan.bg_prev.frame_no == plan.bg_next.frame_no == 100
-        assert (plan.interval, plan.offset) == (1, 0)
-        assert [t.frame_no for t in plan.template_chain] == [100]
-
-    def test_after_last_template(self, stream):
-        plan = lookup(stream, 195)
-        assert plan.bg_prev.frame_no == plan.bg_next.frame_no == 180
-        assert [t.frame_no for t in plan.template_chain] == [180]
-
-    def test_chain_covers_prev_when_next_is_anchor(self, stream):
-        # the bracket (140, 180) needs 140's history even though 180 restarts
-        plan = lookup(stream, 150)
-        assert plan.bg_prev.frame_no == 140
-        assert plan.bg_next.frame_no == 180
-        assert (plan.interval, plan.offset) == (40, 30)
-        assert [t.frame_no for t in plan.template_chain] == [100, 140, 180]
+        tframes = [t.frame_no for t in stream.templates]
+        i, k = _bracket(tframes, 120)
+        assert (tframes[i], tframes[k]) == (100, 140)
+        assert (tframes[k] - tframes[i], tframes[k] - 120) == (40, 20)
+        assert [f.frame_no for f in stream.foregrounds] == [120]
+        assert stream.segments == ((0, 119), (121, 199))
 
     def test_out_of_range(self, stream):
         with pytest.raises(ContainerError, match="out of range"):
-            lookup(stream, -1)
+            decode_frame(stream, -1)
         with pytest.raises(ContainerError, match="out of range"):
-            lookup(stream, 200)
+            decode_frame(stream, 200)
 
 
 class TestBudget:

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbv.core import (MIN_DIM, Frame, Region, VideoSequence, clip_u8, crop,
-                      frame_from_planes, paste, read_y4m, round_half_up,
-                      to_luma, write_y4m)
+from fbv import core
+from fbv.core import (MIN_DIM, Frame, Region, VideoFormatError, VideoSequence,
+                      frame_from_planes, read_y4m, round_half_up, write_y4m)
 
 
 def _frame(h=24, w=32, fill=7, index=0):
@@ -20,7 +20,7 @@ class TestFrame:
     def test_geometry_and_luma(self):
         f = _frame(24, 32)
         assert (f.height, f.width) == (24, 32)
-        assert to_luma(f).shape == (24, 32)
+        assert f.planes[0].shape == (24, 32)
 
     def test_planes_are_frozen(self):
         f = _frame()
@@ -67,17 +67,6 @@ class TestRegion:
         assert Region(0, 0, 16, 16).contains(Region(4, 4, 8, 8))
         assert not Region(0, 0, 16, 16).contains(Region(12, 0, 8, 8))
 
-    def test_crop_paste_cycle(self):
-        f = _frame(24, 32, fill=50)
-        r = Region(8, 8, 8, 16)
-        patch = crop(f, r)
-        assert patch.shape == (3, 16, 8)
-        g = paste(f, r, np.full_like(patch, 200))
-        assert (crop(g, r) == 200).all()
-        outside = g.planes.copy()
-        outside[:, r.y:r.y2, r.x:r.x2] = 50
-        assert (outside == 50).all()
-
 
 class TestRounding:
     def test_half_up_on_halves(self):
@@ -94,11 +83,6 @@ class TestRounding:
         # compare when the float is far enough from the tie point
         if abs(x - (want - 0.5)) > 1e-9 and abs(x - (want + 0.5)) > 1e-9:
             assert int(round_half_up(np.array([x]))[0]) == want
-
-    def test_clip_u8(self):
-        out = clip_u8(np.array([-5, 0, 128, 255, 300]))
-        assert out.dtype == np.uint8
-        assert out.tolist() == [0, 0, 128, 255, 255]
 
 
 class TestVideoSequence:
@@ -141,6 +125,26 @@ class TestY4m:
         back = read_y4m(buf.getvalue())
         for a, b in zip(seq.frames, back.frames):
             assert np.array_equal(a.planes[0], b.planes[0])
+
+    def test_path_source_is_closed(self, tmp_path, monkeypatch):
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            opened.append(fh)
+            return fh
+
+        monkeypatch.setattr(core, "open", recording_open, raising=False)
+        buf = io.BytesIO()
+        write_y4m(self._sequence(), buf, force_444=True)
+        good, cut = tmp_path / "good.y4m", tmp_path / "cut.y4m"
+        good.write_bytes(buf.getvalue())
+        cut.write_bytes(buf.getvalue()[:-10])
+        assert len(read_y4m(str(good)).frames) == 3
+        with pytest.raises(VideoFormatError, match="truncated payload in frame 2"):
+            read_y4m(str(cut))
+        assert len(opened) == 2
+        assert all(fh.closed for fh in opened)
 
     def test_bad_magic_rejected(self):
         from fbv.core import VideoFormatError

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbv.entropy import (BitBudgetReport, ContextModel, EntropyDecodeError,
-                         RangeDecoder, RangeEncoder, bit_cost, decode_bits,
+                         RangeDecoder, RangeEncoder, decode_bits,
                          decode_unary_eg0, encode_bits, encode_unary_eg0)
 
 
@@ -126,13 +126,6 @@ class TestExpGolomb:
 
 
 class TestBudget:
-    def test_bit_cost_counts_payload_bytes(self):
-        rep = bit_cost([b"abc"], [b"de", b""], [b"x"])
-        assert rep.bits_bg_residual == 24
-        assert rep.bits_fg_residual == 16
-        assert rep.bits_fg_motion == 8
-        assert rep.total_bits == 48
-
     def test_ratios_sum_to_one(self):
         rep = BitBudgetReport(100, 300, 50)
         assert sum(rep.ratios) == pytest.approx(1.0, abs=1e-12)

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbv.core import Frame, Region
-from fbv.fgregion import (FgParams, RegionSet, combine_masks, combine_regions,
-                          extract_foreground, fp)
+from fbv.fgregion import FgParams, RegionSet, combine_regions, fp
 
 
 def _frame(h, w, index=0):
@@ -270,33 +269,8 @@ class TestCombine:
         c = combine_regions(a, b)
         assert _as_boxes(c) == [(0, 0, 8, 24)]
 
-    def test_combine_masks_is_union_mask(self):
-        a = RegionSet((Region(0, 0, 8, 8),), 64, 64)
-        b = RegionSet((Region(32, 32, 16, 8),), 64, 64)
-        m = combine_masks(a, b)
-        want = np.zeros((64, 64), dtype=bool)
-        want[0:8, 0:8] = True
-        want[32:40, 32:48] = True
-        assert np.array_equal(m, want)
-
     def test_dimension_mismatch_rejected(self):
         a = RegionSet((), 64, 64)
         b = RegionSet((), 32, 32)
         with pytest.raises(ValueError):
             combine_regions(a, b)
-
-
-class TestExtract:
-    def test_masked_values_kept_rest_zero(self):
-        planes = np.arange(3 * 16 * 16, dtype=np.uint8).reshape(3, 16, 16)
-        f = Frame(planes % 200, 4)
-        mask = np.zeros((16, 16), dtype=bool)
-        mask[2:6, 3:9] = True
-        out = extract_foreground(f, mask)
-        assert out.frame_index == 4
-        assert np.array_equal(out.planes[:, mask], f.planes[:, mask])
-        assert (out.planes[:, ~mask] == 0).all()
-
-    def test_bad_mask_shape_rejected(self):
-        with pytest.raises(ValueError):
-            extract_foreground(_frame(16, 16), np.zeros((8, 8), dtype=bool))

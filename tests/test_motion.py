@@ -6,7 +6,7 @@ import pytest
 from fbv.core import Frame, Region
 from fbv.fgregion import RegionSet
 from fbv.motion import (BLOCK, SEARCH_RANGE, FlowField, decode_flow,
-                        encode_flow, estimate_flow, predict, warp)
+                        encode_flow, estimate_flow, warp)
 
 
 def _fg(luma, index=0):
@@ -170,15 +170,6 @@ class TestWarp:
                 for x in range(8):
                     want = _o_sample(planes[ch], 2 * y - 27, 2 * x - (-31))
                     assert out.planes[ch, y, x] == want
-
-    def test_predict_is_the_warped_frame(self):
-        rng = np.random.default_rng(13)
-        planes = rng.integers(0, 256, (3, 24, 24), dtype=np.uint8)
-        prev = Frame(planes, 0)
-        rs = RegionSet((Region(8, 8, 8, 8),), 24, 24)
-        flow = FlowField(rs.regions, (np.zeros((1, 1, 2), dtype=np.int16),))
-        w = warp(prev, flow, rs)
-        assert predict(prev, w, flow) is w
 
 
 class TestFlowCodec:

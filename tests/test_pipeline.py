@@ -1,18 +1,22 @@
 """End-to-end encoder/decoder behavior on synthetic sequences."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from fbv import bgtemplate, pipeline
-from fbv.container import ContainerError, budget_of, read_stream
-from fbv.core import FbvError, VideoSequence
+from fbv.bgtemplate import encode_template, interpolated_background
+from fbv.container import (ContainerError, FbvStream, StreamHeader, TemplateRecord,
+                           budget_of, build_segments, read_stream, write_stream)
+from fbv.core import FbvError, Frame, VideoSequence
 from fbv.metrics import ms_ssim
 from fbv.pipeline import (QUALITY_LADDER, EncoderConfig, TimingReport,
                           analyze_bytes, decode_bytes, decode_frame,
                           decode_stream, encode, rd_sweep, sweep_csv)
 from fbv.residual import QualityPoint
 
-from conftest import moving_square_video, step_video
+from conftest import moving_square_video, smooth_texture, step_video
 
 FAST = dict(init_frames=8)
 
@@ -25,6 +29,25 @@ def sq_video():
 @pytest.fixture(scope="module")
 def sq_result(sq_video):
     return encode(sq_video, EncoderConfig(**FAST))
+
+
+@pytest.fixture(scope="module")
+def step_result():
+    # brightness steps force three templates; cadence 2 makes the third an anchor
+    return encode(step_video(), EncoderConfig(anchor_interval=2, learning_rate=0.2, **FAST))
+
+
+def _counting_template_decodes(monkeypatch):
+    """Patch fbv.pipeline.decode_template; returns the list of decoded frame numbers."""
+    calls = []
+    original = pipeline.decode_template
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])       # the template's frame number
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "decode_template", counted)
+    return calls
 
 
 class TestEncodeBasics:
@@ -163,25 +186,72 @@ class TestRandomAccess:
 
     def test_out_of_range_frame(self, sq_result):
         stream = read_stream(sq_result.data)
-        with pytest.raises(ContainerError, match="out of range"):
-            decode_frame(stream, stream.header.frame_count)
+        for t in (-1, stream.header.frame_count):
+            with pytest.raises(ContainerError, match="out of range"):
+                decode_frame(stream, t)
 
-    def test_across_anchor_restart(self):
-        # brightness steps force three templates; cadence 2 makes the third
-        # an anchor, so mid-bracket seeks must rebuild the earlier chain
-        video = step_video()
-        cfg = EncoderConfig(anchor_interval=2, learning_rate=0.2, **FAST)
-        result = encode(video, cfg)
-        templates = result.stream.templates
-        assert len(templates) == 3
+    def test_across_anchor_restart(self, step_result):
+        # mid-bracket seeks before the re-anchoring template rebuild the earlier chain
+        templates = step_result.stream.templates
         assert [t.anchor for t in templates] == [True, False, True]
-        stream = read_stream(result.data)
-        _, seq = decode_stream(stream)
-        t1, t2 = templates[1].frame_no, templates[2].frame_no
-        probes = {t1, (t1 + t2) // 2, t2, 0, len(video.frames) - 1}
-        for t in probes:
-            got = decode_frame(stream, t)
-            assert np.array_equal(got.planes, seq[t].planes), t
+        stream = read_stream(step_result.data)
+        for enh in (False, True):
+            _, seq = decode_stream(stream, enhance_output=enh)
+            for t in range(stream.header.frame_count):
+                got = decode_frame(stream, t, enhance_output=enh)
+                assert np.array_equal(got.planes, seq[t].planes), (enh, t)
+
+    def test_template_decodes_per_seek(self, step_result, monkeypatch):
+        stream = read_stream(step_result.data)
+        t0, t1, t2 = (t.frame_no for t in stream.templates)
+        calls = _counting_template_decodes(monkeypatch)
+        decode_frame(stream, (t1 + t2) // 2)
+        assert calls == [t0, t1, t2]
+        calls.clear()
+        decode_frame(stream, t2)
+        assert calls == [t2]
+
+
+def _bracket_stream():
+    """Templates at 100 (anchor), 140 (chained) and 180 (anchor) of 200 frames."""
+    bg = smooth_texture(16, 16)
+    t100 = encode_template(None, Frame(bg, 100))
+    t140 = encode_template(t100, Frame(bg // 2, 140))
+    t180 = encode_template(None, Frame(bg // 3, 180))
+    header = StreamHeader(width=16, height=16, fps_num=25, fps_den=1, frame_count=200,
+                          levels=1, delta_fp=2048, gamma_fp=9800)
+    templates = tuple(TemplateRecord(t.frame_index, t.anchor, t.payload)
+                      for t in (t100, t140, t180))
+    stream = FbvStream(header, templates, (), build_segments(200, ()))
+    return read_stream(write_stream(stream)), {t.frame_index: t.image for t in (t100, t140, t180)}
+
+
+class TestBracket:
+    # case: (frame, its bracketing template frames, the templates a seek decodes)
+    TABLE = {
+        "before_first_template": (50, (100, 100), [100]),
+        "on_template_frame": (140, (140, 140), [100, 140]),
+        "between_templates": (120, (100, 140), [100, 140]),
+        # the bracket (140, 180) needs 140's history even though 180 restarts
+        "chain_covers_prev_when_next_is_anchor": (150, (140, 180), [100, 140, 180]),
+        "on_anchor": (180, (180, 180), [180]),
+        "after_last_template": (195, (180, 180), [180]),
+    }
+
+    @pytest.mark.parametrize("case", list(TABLE))
+    def test_bracket_and_chain(self, case, monkeypatch):
+        t, want_bracket, want_chain = self.TABLE[case]
+        stream, images = _bracket_stream()
+        tframes = [tr.frame_no for tr in stream.templates]
+        i, k = pipeline._bracket(tframes, t)
+        assert (tframes[i], tframes[k]) == want_bracket
+        calls = _counting_template_decodes(monkeypatch)
+        got = decode_frame(stream, t)
+        assert calls == want_chain
+        lo, hi = want_bracket
+        m, j = (hi - lo, hi - t) if lo != hi else (1, 0)
+        want = interpolated_background(images[lo], images[hi], m, j)
+        assert np.array_equal(got.planes, want.planes)
 
 
 class TestConfig:
@@ -190,12 +260,6 @@ class TestConfig:
             EncoderConfig(gamma=0.0)
         with pytest.raises(ValueError):
             EncoderConfig(gamma=1.0)
-
-    def test_pinned_fields(self):
-        with pytest.raises(ValueError, match="block_size is fixed"):
-            EncoderConfig(block_size=16)
-        with pytest.raises(ValueError, match="search_range is fixed"):
-            EncoderConfig(search_range=8)
 
     def test_component_validation_happens_at_construction(self):
         with pytest.raises(ValueError):
@@ -248,6 +312,17 @@ class TestAnalyze:
         for needle in ("template", "fgframe", "segments:", "BR", "FR", "FMV",
                        "bpp:"):
             assert needle in text
+
+    def test_payload_column_matches_the_wire(self, sq_result):
+        text = analyze_bytes(sq_result.data).text
+        rows = [line.split() for line in text.splitlines()
+                if line.startswith(("  template ", "  fgframe "))]
+        stream = sq_result.stream
+        assert len(rows) == len(stream.templates) + len(stream.foregrounds)
+        bg_index_offset, _, _ = struct.unpack_from("<QQ4s", sq_result.data,
+                                                   len(sq_result.data) - 20)
+        # every record is a 9-byte head plus its payload, after the 23-byte preamble and header
+        assert sum(int(r[2]) + 9 for r in rows) == bg_index_offset - 23
 
 
 class TestRdSweep:
