@@ -7,7 +7,7 @@ in an indexed container built for random access.
 """
 
 from .bgmodel import (GmmParams, GmmState, SeparationResult, background_estimate,
-                      gmm_init, gmm_update, load_state, save_state)
+                      gmm_init, gmm_update)
 from .bgtemplate import (BackgroundTemplate, TemplateChain, decode_template,
                          encode_template, interpolated_background)
 from .container import (ContainerError, FbvStream, ForegroundRecord,
@@ -26,8 +26,7 @@ from .pipeline import (QUALITY_LADDER, AnalyzeReport, DecodeResult,
                        EncodeResult, EncoderConfig, RdPoint, TimingReport,
                        analyze_bytes, decode_bytes, decode_frame, decode_stream,
                        encode, rd_sweep, sweep_csv)
-from .quantizer import CenterSet, quantize_hard, quantize_soft
-from .residual import (QualityPoint, decode_residual, encode_residual,
+from .residual import (QualityPoint, decode_residual, encode_residual, quantize,
                        reconstruct_foreground)
 
 __version__ = "0.1.0"

@@ -26,8 +26,6 @@ import numpy as np
 
 from .core import Frame, FbvError, round_half_up
 
-_SNAPSHOT_VERSION = 1
-
 
 @dataclass(frozen=True)
 class GmmParams:
@@ -161,21 +159,16 @@ def gmm_update(state: GmmState, frame: Frame) -> tuple[GmmState, SeparationResul
     new_var = np.maximum(new_var, p.variance_floor)
 
     out = GmmState(p, new_w, new_mu, new_var, frames_seen=n)
-    background = _background_frame(out, frame.frame_index)
+    background = background_estimate(out, frame.frame_index)
     return out, SeparationResult(background=background, points=points)
-
-
-def _background_frame(state: GmmState, frame_index: int) -> Frame:
-    order = _rank_order(state)
-    top = order[0]                                  # (H, W)
-    mu = np.take_along_axis(state.means, top[None, None], axis=0)[0]
-    planes = np.clip(round_half_up(mu), 0, 255).astype(np.uint8)
-    return Frame(planes, frame_index)
 
 
 def background_estimate(state: GmmState, frame_index: int = 0) -> Frame:
     """Current background template: top-ranked component means, rounded."""
-    return _background_frame(state, frame_index)
+    top = _rank_order(state)[0]                     # (H, W)
+    mu = np.take_along_axis(state.means, top[None, None], axis=0)[0]
+    planes = np.clip(round_half_up(mu), 0, 255).astype(np.uint8)
+    return Frame(planes, frame_index)
 
 
 def gmm_init(frames, params: GmmParams = GmmParams()) -> GmmState:
@@ -194,27 +187,3 @@ def gmm_init(frames, params: GmmParams = GmmParams()) -> GmmState:
         state, _ = gmm_update(state, f)
     return state
 
-
-def save_state(state: GmmState, path) -> None:
-    p = state.params
-    np.savez_compressed(
-        path,
-        version=np.int64(_SNAPSHOT_VERSION),
-        weights=state.weights, means=state.means, variances=state.variances,
-        frames_seen=np.int64(state.frames_seen),
-        scalars=np.array([p.learning_rate, p.initial_variance, p.match_threshold,
-                          p.variance_floor, p.init_frames, p.bg_prefix,
-                          p.new_component_weight, p.components], dtype=np.float64))
-
-
-def load_state(path) -> GmmState:
-    with np.load(path) as z:
-        if int(z["version"]) != _SNAPSHOT_VERSION:
-            raise FbvError("unsupported model snapshot version")
-        s = z["scalars"]
-        params = GmmParams(learning_rate=float(s[0]), initial_variance=float(s[1]),
-                           match_threshold=float(s[2]), variance_floor=float(s[3]),
-                           init_frames=int(s[4]), bg_prefix=float(s[5]),
-                           new_component_weight=float(s[6]), components=int(s[7]))
-        return GmmState(params, z["weights"].copy(), z["means"].copy(),
-                        z["variances"].copy(), frames_seen=int(z["frames_seen"]))

@@ -43,46 +43,33 @@ class BackgroundTemplate:
     anchor: bool
 
 
-def _pad_residual(res: np.ndarray) -> np.ndarray:
-    h, w = res.shape[1:]
-    ph = (-h) % 8
-    pw = (-w) % 8
-    if not ph and not pw:
-        return res
-    return np.pad(res, ((0, 0), (0, ph), (0, pw)), mode="edge")
-
-
 def _base_planes(prev: BackgroundTemplate | None, shape: tuple[int, ...]) -> np.ndarray:
     if prev is None:
         return np.full(shape, ANCHOR_VALUE, dtype=np.int64)
     return prev.image.planes.astype(np.int64)
 
 
-def encode_template(prev: BackgroundTemplate | None, candidate: Frame,
-                    quality: QualityPoint = TEMPLATE_QUALITY) -> BackgroundTemplate:
+def _reconstruct(prev: BackgroundTemplate | None, base: np.ndarray, decoded: np.ndarray,
+                 payload: bytes, frame_index: int) -> BackgroundTemplate:
+    rec = np.clip(base + decoded, 0, 255).astype(np.uint8)
+    return BackgroundTemplate(frame_index=frame_index, image=Frame(rec, frame_index),
+                              payload=payload, anchor=prev is None)
+
+
+def encode_template(prev: BackgroundTemplate | None, candidate: Frame) -> BackgroundTemplate:
     """Code candidate against prev (or the mid-gray anchor when prev is None)."""
     base = _base_planes(prev, candidate.planes.shape)
     residual = candidate.planes.astype(np.int64) - base
-    payload, decoded = encode_residual([_pad_residual(residual)], quality)
-    h, w = candidate.planes.shape[1:]
-    rec = np.clip(base + decoded[0][:, :h, :w], 0, 255).astype(np.uint8)
-    return BackgroundTemplate(frame_index=candidate.frame_index,
-                              image=Frame(rec, candidate.frame_index),
-                              payload=payload, anchor=prev is None)
+    payload, (decoded,) = encode_residual([residual], TEMPLATE_QUALITY)
+    return _reconstruct(prev, base, decoded, payload, candidate.frame_index)
 
 
 def decode_template(prev: BackgroundTemplate | None, payload: bytes,
-                    frame_index: int, height: int, width: int,
-                    quality: QualityPoint = TEMPLATE_QUALITY) -> BackgroundTemplate:
+                    frame_index: int, height: int, width: int) -> BackgroundTemplate:
     """Decoder mirror of encode_template; bit-identical reconstruction."""
     base = _base_planes(prev, (3, height, width))
-    ph = height + ((-height) % 8)
-    pw = width + ((-width) % 8)
-    decoded = decode_residual(payload, [(ph, pw)], quality)[0]
-    rec = np.clip(base + decoded[:, :height, :width], 0, 255).astype(np.uint8)
-    return BackgroundTemplate(frame_index=frame_index,
-                              image=Frame(rec, frame_index),
-                              payload=payload, anchor=prev is None)
+    (decoded,) = decode_residual(payload, [(height, width)], TEMPLATE_QUALITY)
+    return _reconstruct(prev, base, decoded, payload, frame_index)
 
 
 def interpolated_background(b_prev: Frame, b_next: Frame, m: int, j: int) -> Frame:

@@ -41,6 +41,7 @@ FOOTER_MAGIC = b"FBIX"
 VERSION = 1
 TAG_TEMPLATE = 0x01
 TAG_FOREGROUND = 0x02
+GAMMA_SCALE = 10_000      # the header's gamma is gamma_fp / GAMMA_SCALE
 
 _PREAMBLE = struct.Struct("<4sB")
 _HEADER = struct.Struct("<HHHHIBHHB")
@@ -67,7 +68,7 @@ class StreamHeader:
     frame_count: int
     levels: int
     delta_fp: int          # quantizer step x 256
-    gamma_fp: int          # update threshold x 10^4
+    gamma_fp: int          # update threshold x GAMMA_SCALE
     flags: int = 0
 
     def __post_init__(self) -> None:
@@ -81,7 +82,7 @@ class StreamHeader:
             raise ContainerError("invalid level count")
         if not (1 <= self.delta_fp <= 0xFFFF):
             raise ContainerError("invalid quantizer step")
-        if not (0 < self.gamma_fp < 10000):
+        if not (0 < self.gamma_fp < GAMMA_SCALE):
             raise ContainerError("invalid update threshold")
         if not (0 <= self.flags <= 0xFF):
             raise ContainerError("invalid flags")
@@ -92,7 +93,7 @@ class StreamHeader:
 
     @property
     def gamma(self) -> float:
-        return self.gamma_fp / 10000.0
+        return self.gamma_fp / GAMMA_SCALE
 
 
 @dataclass(frozen=True)

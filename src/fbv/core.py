@@ -58,9 +58,6 @@ class Frame:
     def width(self) -> int:
         return self.planes.shape[2]
 
-    def with_index(self, frame_index: int) -> "Frame":
-        return Frame(self.planes, frame_index)
-
 
 def frame_from_planes(y: np.ndarray, cb: np.ndarray, cr: np.ndarray, frame_index: int = 0) -> Frame:
     return Frame(np.stack([y, cb, cr]).astype(np.uint8), frame_index)

@@ -43,10 +43,6 @@ class ContextModel:
         self.c0 = [1] * num_contexts
         self.c1 = [1] * num_contexts
 
-    @property
-    def num_contexts(self) -> int:
-        return len(self.c0)
-
 
 class RangeEncoder:
     def __init__(self, model: ContextModel) -> None:

@@ -41,9 +41,9 @@ import numpy as np
 
 from .bgmodel import GmmParams, background_estimate, gmm_init, gmm_update
 from .bgtemplate import TemplateChain, decode_template, interpolated_background
-from .container import (ContainerError, FbvStream, ForegroundRecord, StreamHeader,
-                        TemplateRecord, build_segments, budget_of, foreground_payload,
-                        read_stream, template_payload, write_stream)
+from .container import (GAMMA_SCALE, ContainerError, FbvStream, ForegroundRecord,
+                        StreamHeader, TemplateRecord, build_segments, budget_of,
+                        foreground_payload, read_stream, template_payload, write_stream)
 from .core import FbvError, Frame, VideoSequence
 from .decode import DEFAULT_BAND, CompositeFrame, composite, enhance
 from .entropy import BitBudgetReport
@@ -53,8 +53,6 @@ from .metrics import (QualityReport, bpp, fb_mixture, laplacian_sharpness,
 from .motion import decode_flow, encode_flow, estimate_flow, warp
 from .residual import QualityPoint, decode_residual, encode_residual, \
     reconstruct_foreground
-
-GAMMA_SCALE = 10_000
 
 # rate ladder used by the CLI and the sweeps: 1 coarsest .. 4 finest
 QUALITY_LADDER = {
@@ -96,6 +94,8 @@ class EncoderConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.gamma < 1.0):
             raise ValueError("gamma must be in (0, 1)")
+        if not (0 < round(self.gamma * GAMMA_SCALE) < GAMMA_SCALE):
+            raise ValueError(f"gamma must stay inside (0, 1) at 1/{GAMMA_SCALE} precision")
         if self.anchor_interval < 1:
             raise ValueError("anchor_interval must be >= 1")
         if not (0 <= self.feather_band <= 16):
@@ -194,18 +194,6 @@ class DecodeResult:
         return 1000.0 * self.decode_total_s / n if n else 0.0
 
 
-def _pad8(arr: np.ndarray) -> np.ndarray:
-    h, w = arr.shape[1:]
-    ph, pw = (-h) % 8, (-w) % 8
-    if not ph and not pw:
-        return arr
-    return np.pad(arr, ((0, 0), (0, ph), (0, pw)), mode="edge")
-
-
-def _padded_shapes(regions: tuple) -> list[tuple[int, int]]:
-    return [(r.h + (-r.h) % 8, r.w + (-r.w) % 8) for r in regions]
-
-
 def _zero_frame(h: int, w: int, index: int) -> Frame:
     return Frame(np.zeros((3, h, w), dtype=np.uint8), index)
 
@@ -222,11 +210,9 @@ def _code_foreground(ref: Frame, cur: Frame, used: RegionSet, q: QualityPoint,
     t1 = time.perf_counter()
     warped = warp(ref, flow, used)
     t2 = time.perf_counter()
-    patches = []
-    for r in used.regions:
-        res = (cur.planes[:, r.y:r.y2, r.x:r.x2].astype(np.int64)
-               - warped.planes[:, r.y:r.y2, r.x:r.x2].astype(np.int64))
-        patches.append(_pad8(res))
+    patches = [cur.planes[:, r.y:r.y2, r.x:r.x2].astype(np.int64)
+               - warped.planes[:, r.y:r.y2, r.x:r.x2].astype(np.int64)
+               for r in used.regions]
     res_bytes, decoded = encode_residual(patches, q)
     rec = _assemble_foreground(warped, decoded, used, cur.frame_index)
     t3 = time.perf_counter()
@@ -241,7 +227,7 @@ def _assemble_foreground(warped: Frame, decoded_patches, used: RegionSet,
                          index: int) -> Frame:
     res_plane = np.zeros_like(warped.planes, dtype=np.int64)
     for r, patch in zip(used.regions, decoded_patches):
-        res_plane[:, r.y:r.y2, r.x:r.x2] = patch[:, :r.h, :r.w]
+        res_plane[:, r.y:r.y2, r.x:r.x2] = patch
     planes = reconstruct_foreground(warped.planes, res_plane, used.mask)
     return Frame(planes, index)
 
@@ -371,7 +357,7 @@ def _decode_foreground(stream: FbvStream, records) -> dict[int, tuple[RegionSet,
             else _zero_frame(h, w, rec.frame_no)
         flow = decode_flow(rec.flow, rs)
         warped = warp(ref, flow, rs)
-        patches = decode_residual(rec.residual, _padded_shapes(rec.regions), q)
+        patches = decode_residual(rec.residual, [(r.h, r.w) for r in rec.regions], q)
         fg = _assemble_foreground(warped, patches, rs, rec.frame_no)
         out[rec.frame_no] = (rs, fg)
         prev_fg, prev_no = fg, rec.frame_no

@@ -20,14 +20,20 @@ transform are approximately [1.414, 0.707, 1.0, 0.707, 2.828, 0.707, 1.0,
 
 Quantization
 ------------
-Each coefficient is split into sign and magnitude. The magnitude, divided
-by delta * band_weight (the affine map the codec owns: offset 0, step
-delta * weight), is hard-quantized against the centers {0..2^L - 1} with
+Each coefficient is split into sign and magnitude. The magnitude divided
+by the step delta is hard-quantized against the centers {0..2^L - 1} with
 midpoints resolved toward the smaller center. A magnitude that saturates
 the top center carries an exp-Golomb escape extension (level - top), so
 arbitrarily large coefficients stay representable at every L. Dequantization
-is level * delta * weight rounded half up, computed in exact integer
-arithmetic on the 8.8 fixed-point delta.
+is level * delta rounded half up. Both run in exact integer arithmetic on
+the 8.8 fixed-point delta.
+
+Patches of any size are coded: a patch is edge-padded to whole 8x8 blocks
+and its reconstruction cropped back. `quantize` is the one quantizer and
+`_synthesize` (dequantize, inverse transform, clip, unblock, crop) the one
+reconstruction; the encoder takes its reference from `_synthesize` on the
+levels it codes, the decoder on the levels it decodes, so the two agree
+bit for bit.
 """
 
 from __future__ import annotations
@@ -135,8 +141,6 @@ ZIGZAG = _zigzag_order()
 # band group per zigzag position: DC, low, mid, high
 _BAND_GROUP = np.array([0] + [1] * 5 + [2] * 15 + [3] * 43, dtype=np.int64)
 
-FLAT_WEIGHTS = np.ones((8, 8), dtype=np.int64)
-
 
 @dataclass(frozen=True)
 class QualityPoint:
@@ -150,8 +154,8 @@ class QualityPoint:
             raise ValueError("delta_q must be > 0")
         if not (1 <= self.levels <= 12):
             raise ValueError("levels must be in 1..12")
-        if self.delta_fp < 1:
-            raise ValueError("delta_q too small for 8.8 fixed point")
+        if not (1 <= self.delta_fp <= 0xFFFF):
+            raise ValueError("delta_q out of range for 8.8 fixed point (1/256 .. 255.99)")
 
     @property
     def delta_fp(self) -> int:
@@ -177,65 +181,53 @@ def residual_context_model() -> ContextModel:
     return ContextModel(NUM_RESIDUAL_CONTEXTS)
 
 
-def _quantize_magnitudes(coefs: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """Half-down rounding of |coef| / denom in exact integer arithmetic."""
-    mag = np.abs(coefs)
-    return (2 * mag * 256 + denom - 1) // (2 * denom)
+def quantize(mag: np.ndarray, delta_fp: int) -> np.ndarray:
+    """Level of each magnitude: mag * 256 / delta_fp rounded half down,
+    i.e. the nearest center with ties to the smaller one, before the top
+    center's escape."""
+    return (2 * mag * 256 + delta_fp - 1) // (2 * delta_fp)
 
 
-def _dequantize(levels: np.ndarray, signs: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    return signs * ((levels * denom + 128) >> 8)
+def _ceil8(n: int) -> int:
+    return n + (-n) % 8
 
 
-def _check_patch(patch: np.ndarray) -> None:
-    if patch.ndim != 3 or patch.shape[0] != 3:
-        raise ValueError("residual patch must be (3, h, w)")
-    if patch.shape[1] % 8 or patch.shape[2] % 8:
-        raise ValueError("residual patch dims must be multiples of 8")
+def _synthesize(signed_levels_zz: np.ndarray, delta_fp: int, h: int, w: int) -> np.ndarray:
+    """(3, blocks, 64) signed zigzag levels -> the (3, h, w) reconstruction."""
+    coefs = np.empty_like(signed_levels_zz)
+    coefs[..., ZIGZAG] = np.sign(signed_levels_zz) * (
+        (np.abs(signed_levels_zz) * delta_fp + 128) >> 8)
+    spatial = np.clip(inv2d(coefs.reshape(3, -1, 8, 8)), -255, 255)
+    ph, pw = _ceil8(h), _ceil8(w)
+    planes = spatial.reshape(3, ph // 8, pw // 8, 8, 8).swapaxes(2, 3).reshape(3, ph, pw)
+    return planes[:, :h, :w]
 
 
-def _blocks_of(plane: np.ndarray) -> np.ndarray:
-    h, w = plane.shape
-    return plane.reshape(h // 8, 8, w // 8, 8).swapaxes(1, 2).reshape(-1, 8, 8)
+def encode_residual(patches: Sequence[np.ndarray],
+                    q: QualityPoint) -> tuple[bytes, list[np.ndarray]]:
+    """Code (3, h, w) residual patches into one entropy payload.
 
-
-def _unblock(blocks: np.ndarray, h: int, w: int) -> np.ndarray:
-    return blocks.reshape(h // 8, w // 8, 8, 8).swapaxes(1, 2).reshape(h, w)
-
-
-def encode_residual(patches: Sequence[np.ndarray], q: QualityPoint,
-                    weights: np.ndarray = FLAT_WEIGHTS) -> tuple[bytes, list[np.ndarray]]:
-    """Code residual patches into one entropy payload.
-
-    Returns (payload, decoded_patches): the decoded side is produced through
-    the identical dequantize/inverse path the decoder runs, so the encoder's
-    reconstruction references match the decoder bit for bit.
+    Returns (payload, decoded_patches): the decoded side is what
+    decode_residual returns for the payload.
     """
     enc = RangeEncoder(residual_context_model())
-    denom = weights.astype(np.int64) * q.delta_fp
-    denom_zz = denom.reshape(64)[ZIGZAG]
     top = q.top_center
     decoded: list[np.ndarray] = []
     for patch in patches:
-        _check_patch(patch)
-        out = np.empty_like(patch, dtype=np.int64)
+        if patch.ndim != 3 or patch.shape[0] != 3:
+            raise ValueError("residual patch must be (3, h, w)")
+        _, h, w = patch.shape
+        padded = np.pad(np.asarray(patch, dtype=np.int64),
+                        ((0, 0), (0, _ceil8(h) - h), (0, _ceil8(w) - w)), mode="edge")
+        blocks = padded.reshape(3, _ceil8(h) // 8, 8, -1, 8).swapaxes(2, 3)
+        flat = fwd2d(blocks).reshape(3, -1, 64)[..., ZIGZAG]
+        levels = quantize(np.abs(flat), q.delta_fp)
+        signs = np.sign(flat)
         for ch in range(3):
             cc = 0 if ch == 0 else 1
-            blocks = _blocks_of(np.asarray(patch[ch], dtype=np.int64))
-            coefs = fwd2d(blocks)
-            flat = coefs.reshape(-1, 64)[:, ZIGZAG]
-            levels = _quantize_magnitudes(flat, denom_zz)
-            signs = np.sign(flat)
-            for b in range(flat.shape[0]):
-                _encode_block(enc, levels[b], signs[b], cc, top)
-            rec = np.zeros_like(flat)
-            nz = levels > 0
-            rec[nz] = _dequantize(levels[nz], signs[nz], np.broadcast_to(denom_zz, flat.shape)[nz])
-            tback = np.zeros_like(coefs).reshape(-1, 64)
-            tback[:, ZIGZAG] = rec
-            spatial = inv2d(tback.reshape(-1, 8, 8))
-            out[ch] = _unblock(np.clip(spatial, -255, 255), patch.shape[1], patch.shape[2])
-        decoded.append(out)
+            for b in range(flat.shape[1]):
+                _encode_block(enc, levels[ch, b], signs[ch, b], cc, top)
+        decoded.append(_synthesize(signs * levels, q.delta_fp, h, w))
     return enc.finish(), decoded
 
 
@@ -268,35 +260,25 @@ def _encode_block(enc: RangeEncoder, levels: np.ndarray, signs: np.ndarray,
             enc.encode(_CTX_LAST + cc * 4 + band, 1 if i == last else 0)
 
 
-def decode_residual(data: bytes, shapes: Sequence[tuple[int, int]], q: QualityPoint,
-                    weights: np.ndarray = FLAT_WEIGHTS) -> list[np.ndarray]:
+def decode_residual(data: bytes, shapes: Sequence[tuple[int, int]],
+                    q: QualityPoint) -> list[np.ndarray]:
     """Inverse of encode_residual; shapes lists each patch's (h, w)."""
     dec = RangeDecoder(data, residual_context_model())
-    denom = weights.astype(np.int64) * q.delta_fp
-    denom_zz = denom.reshape(64)[ZIGZAG]
     top = q.top_center
     patches: list[np.ndarray] = []
     for (h, w) in shapes:
-        if h % 8 or w % 8:
-            raise ValueError("residual patch dims must be multiples of 8")
-        patch = np.empty((3, h, w), dtype=np.int64)
-        nblocks = (h // 8) * (w // 8)
+        levels = np.zeros((3, (_ceil8(h) // 8) * (_ceil8(w) // 8), 64), dtype=np.int64)
         for ch in range(3):
             cc = 0 if ch == 0 else 1
-            flat = np.zeros((nblocks, 64), dtype=np.int64)
-            for b in range(nblocks):
-                _decode_block(dec, flat[b], cc, top, denom_zz)
-            tback = np.zeros((nblocks, 64), dtype=np.int64)
-            tback[:, ZIGZAG] = flat
-            spatial = inv2d(tback.reshape(-1, 8, 8))
-            patch[ch] = _unblock(np.clip(spatial, -255, 255), h, w)
-        patches.append(patch)
+            for b in range(levels.shape[1]):
+                _decode_block(dec, levels[ch, b], cc, top)
+        patches.append(_synthesize(levels, q.delta_fp, h, w))
     dec.finish()
     return patches
 
 
-def _decode_block(dec: RangeDecoder, out_zz: np.ndarray, cc: int, top: int,
-                  denom_zz: np.ndarray) -> None:
+def _decode_block(dec: RangeDecoder, out_zz: np.ndarray, cc: int, top: int) -> None:
+    """Decode one block's signed levels into out_zz (zigzag order)."""
     if dec.decode(_CTX_ZERO_BLOCK + cc):
         return
     prev_sig = 0
@@ -322,7 +304,7 @@ def _decode_block(dec: RangeDecoder, out_zz: np.ndarray, cc: int, top: int,
         if c == top:
             base = _CTX_ESC_PREFIX + cc * 3
             lev = top + decode_unary_eg0(dec, base, base + 2, prefix_span=2)
-        out_zz[i] = sign * ((lev * int(denom_zz[i]) + 128) >> 8)
+        out_zz[i] = sign * lev
         if i < 63 and dec.decode(_CTX_LAST + cc * 4 + band):
             return
 

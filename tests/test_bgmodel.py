@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from fbv.bgmodel import (GmmParams, GmmState, background_estimate, gmm_init,
-                         gmm_update, load_state, save_state)
+from fbv.bgmodel import GmmParams, GmmState, background_estimate, gmm_init, gmm_update
 from fbv.core import FbvError, Frame
 
 SMALL = GmmParams(init_frames=8)
@@ -210,22 +209,3 @@ class TestStateInvariants:
         assert np.array_equal(r1.points, r2.points)
         assert np.array_equal(s1.weights, s2.weights)
 
-
-class TestSnapshot:
-    def test_save_load_round_trip(self, tmp_path):
-        rng = np.random.default_rng(29)
-        frames = _video(list(rng.integers(0, 256, (8, 3, 16, 16))))
-        state = gmm_init(frames, SMALL)
-        path = tmp_path / "model.npz"
-        save_state(state, path)
-        back = load_state(path)
-        assert back.params == state.params
-        assert back.frames_seen == state.frames_seen
-        assert np.array_equal(back.weights, state.weights)
-        assert np.array_equal(back.means, state.means)
-        assert np.array_equal(back.variances, state.variances)
-        # the restored model behaves identically
-        f = Frame(rng.integers(0, 256, (3, 16, 16), dtype=np.uint8).astype(np.uint8), 9)
-        _, ra = gmm_update(state, f)
-        _, rb = gmm_update(back, f)
-        assert np.array_equal(ra.points, rb.points)

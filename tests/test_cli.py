@@ -182,6 +182,16 @@ class TestExitCodes:
                    "--gamma", "1.5"])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag,value", [("--delta-q", "300"), ("--gamma", "0.99996")])
+    def test_out_of_range_quantizer_fields_are_usage_errors(self, work, tmp_path, flag, value):
+        # rejected as configuration before any encoding, not as a malformed stream
+        _, src, _ = work
+        out = tmp_path / "x.fbv"
+        rc = main(["encode", "-i", str(src), "-o", str(out), "--init-frames", "8",
+                   flag, value])
+        assert rc == EXIT_USAGE
+        assert not out.exists()
+
     def test_bad_quality_point(self, work, tmp_path):
         _, src, _ = work
         rc = main(["encode", "-i", str(src), "-o", str(tmp_path / "x.fbv"),

@@ -41,9 +41,6 @@ class TestFrame:
         assert f.frame_index == 4
         assert np.array_equal(f.planes[2], y)
 
-    def test_with_index(self):
-        assert _frame(index=0).with_index(9).frame_index == 9
-
 
 class TestRegion:
     def test_bounds_and_area(self):

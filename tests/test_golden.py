@@ -6,8 +6,10 @@ values recorded when this file was added. A change that alters either digest
 changed the bitstream or the decoder's output; it must then say so and
 record new digests here, rather than pass unnoticed. The clips cover the
 three shapes of stream: a moving square (foreground runs and a template
-chain), a static scene (background only) and an illumination step (gated
-template updates on global brightness).
+chain), a static scene (background only), an illumination step (gated
+template updates on global brightness) and a 44x60 moving square whose
+templates and some foreground regions are not multiples of 8 (the residual
+codec's edge padding and crop).
 """
 
 import hashlib
@@ -25,6 +27,7 @@ CLIPS = {
     "static": (lambda: static_video(n=10), {}),
     "step": (lambda: step_video(h=64, w=64, n=20, shifts=((10, -45), (15, 45))),
              {"learning_rate": 0.2}),
+    "offgrid": (lambda: moving_square_video(h=44, w=60, n=12, size=16), {}),
 }
 
 # (clip, ladder point): (sha256 of the stream, sha256 of the decoded frames)
@@ -41,6 +44,10 @@ GOLDEN = {
     ("step", 2): ('3eaba7dc0bb6d230452a0455f8ee2f53e67e675e13785fb54a4c8f03fbc1f5a7', '57eb30a49faecc7ca3c5c46544f083058459e3761569ed9695fc9c3c4659e817'),
     ("step", 3): ('ce69b995852d0e01c5617deb75d56903937d2b828d105703e24317dcfb7384d9', '5cbdc6a9c3488dd294dad0631bb30f249427ccf4cb85adbe2263e62a832e5107'),
     ("step", 4): ('18a6535fee6ec00d18bc99fd8d713c1cc063c1bc6d0563a92657a75e3b21390a', 'bd8ee37553ec9f442004088ac00cc7375e4717be589c5d35c6f3e9c31af98910'),
+    ("offgrid", 1): ('443ba975578d2f3a17f0e4d09865ca90f9979be0561d9a68b8e1057182b2282e', 'd9dc5fc88972d98cf4146a46ce2383336724fb9cbabeef1e0c72170994cdac8d'),
+    ("offgrid", 2): ('f69d90fc7cdc20326aa433beeb70db1793d8e6e61d564ee1af74ab7b8e742bda', '83703cbdae03f58b4704631589af6ab8e759bf45ddd9441bccfec7d49386436a'),
+    ("offgrid", 3): ('1e95e8bf0bf0b39ee5e265ac97b703e075438ef78ab15520eb0b8c0f1bfbac77', 'fae64c24e3898574acc48b1199e7a661f2fcac8e40a0f8b216d4dcfe711d3180'),
+    ("offgrid", 4): ('a0b23f722e5ae4e534ba62fa424f64912545ca41bf7b64a9e9044a739c59f5e8', '36c6a194979e566d5866d3f7df90efb5a93e9f0d7b0d21d67593a777e9f12e9d'),
 }
 
 

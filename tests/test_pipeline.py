@@ -260,10 +260,16 @@ class TestConfig:
             EncoderConfig(gamma=0.0)
         with pytest.raises(ValueError):
             EncoderConfig(gamma=1.0)
+        # the header carries round(gamma * 10^4), which must stay in (0, 10^4)
+        for gamma in (0.00004, 0.99996):
+            with pytest.raises(ValueError, match="precision"):
+                EncoderConfig(gamma=gamma)
 
     def test_component_validation_happens_at_construction(self):
         with pytest.raises(ValueError):
             EncoderConfig(levels=0)
+        with pytest.raises(ValueError, match="8.8 fixed point"):
+            EncoderConfig(delta_q=300.0)     # the header's delta field is u16
         with pytest.raises(ValueError):
             EncoderConfig(learning_rate=0.0)
         with pytest.raises(ValueError):

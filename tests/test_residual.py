@@ -1,4 +1,4 @@
-"""Integer lifting transform and the residual codec built on it."""
+"""Integer lifting transform, the quantizer and the residual codec built on them."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbv.entropy import EntropyDecodeError
-from fbv.residual import (FLAT_WEIGHTS, ZIGZAG, QualityPoint, decode_residual,
-                          encode_residual, fwd2d, fwd8, inv2d, inv8,
-                          reconstruct_foreground)
+from fbv.residual import (ZIGZAG, QualityPoint, decode_residual, encode_residual,
+                          fwd2d, fwd8, inv2d, inv8, quantize, reconstruct_foreground)
 
 rng = np.random.default_rng(42)
 
@@ -47,6 +46,61 @@ class TestLiftingTransform:
         assert ZIGZAG[0] == 0 and ZIGZAG[1] in (1, 8)
 
 
+# delta_fp = 25600 is a step of 100: an integer magnitude m sits at omega = m / 100
+STEP_100 = 25600
+
+
+def _oracle_hard(m: int, top: int) -> int:
+    """Independent nearest-center rule on omega = m / 100, ties to the smaller index."""
+    best, best_d = 0, abs(m)
+    for c in range(1, top + 1):
+        d = abs(m - 100 * c)
+        if d < best_d:   # strict: equal distance keeps the smaller center
+            best, best_d = c, d
+    return best
+
+
+class TestQuantize:
+    """The hard rule, as the codec applies it: min(quantize(.), top) picks the
+    center and the escape carries the rest."""
+
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_matches_nearest_center_oracle_on_fine_grid(self, levels):
+        top = (1 << levels) - 1
+        mags = np.arange(0, top * 100 + 1, dtype=np.int64)
+        got = np.minimum(quantize(mags, STEP_100), top)
+        assert got.tolist() == [_oracle_hard(int(m), top) for m in mags]
+
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_idempotent_on_grid(self, levels):
+        top = (1 << levels) - 1
+        once = np.minimum(quantize(np.arange(0, top * 100 + 1, dtype=np.int64), STEP_100), top)
+        assert np.array_equal(quantize(100 * once, STEP_100), once)
+
+    def test_ties_resolve_to_smaller_index(self):
+        halves = np.array([50, 150, 250, 350, 450, 550, 650], dtype=np.int64)
+        assert quantize(halves, STEP_100).tolist() == [0, 1, 2, 3, 4, 5, 6]
+
+    def test_levels_above_the_top_center_are_not_clamped(self):
+        # the top center's exp-Golomb escape codes level - top, so the
+        # quantizer itself never clamps
+        assert quantize(np.array([900, 1260], dtype=np.int64), STEP_100).tolist() == [9, 13]
+
+    @given(st.integers(0, 2000), st.integers(1, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_output_is_always_a_center(self, mag, levels):
+        top = (1 << levels) - 1
+        c = min(int(quantize(np.int64(mag), STEP_100)), top)
+        assert 0 <= c <= top and c == _oracle_hard(mag, top)
+
+    @given(st.integers(0, 1 << 20), st.integers(1, 0xFFFF))
+    @settings(max_examples=300, deadline=None)
+    def test_nearest_level_at_any_step(self, mag, delta_fp):
+        # omega = 256 * mag / delta_fp; the level is within half a step, ties down
+        lev = int(quantize(np.int64(mag), delta_fp))
+        assert 512 * mag - delta_fp <= 2 * lev * delta_fp < 512 * mag + delta_fp
+
+
 class TestQualityPoint:
     def test_fixed_point_step(self):
         q = QualityPoint(4.0, 2)
@@ -60,6 +114,9 @@ class TestQualityPoint:
             QualityPoint(4.0, 0)
         with pytest.raises(ValueError):
             QualityPoint(4.0, 13)
+        for delta in (0.001, 256.0, 300.0):   # delta_fp must fit 1..0xFFFF
+            with pytest.raises(ValueError, match="8.8 fixed point"):
+                QualityPoint(delta, 2)
 
 
 class TestResidualCodec:
@@ -135,14 +192,18 @@ class TestResidualCodec:
         assert a == b
 
     def test_bad_patch_shapes_rejected(self):
+        with pytest.raises(ValueError):
+            encode_residual([np.zeros((1, 16, 16), dtype=np.int64)], QualityPoint(4.0, 2))
+
+    def test_off_grid_patch_closed_loop(self):
+        # 12x20 is padded to 16x24 inside the codec and cropped back on both sides
+        patch = _patch(12, 20, seed=11)
         q = QualityPoint(4.0, 2)
-        with pytest.raises(ValueError):
-            encode_residual([np.zeros((3, 12, 16), dtype=np.int64)], q)
-        with pytest.raises(ValueError):
-            encode_residual([np.zeros((1, 16, 16), dtype=np.int64)], q)
-        payload, _ = encode_residual([np.zeros((3, 16, 16), dtype=np.int64)], q)
-        with pytest.raises(ValueError):
-            decode_residual(payload, [(12, 16)], q)
+        payload, rec = encode_residual([patch], q)
+        back = decode_residual(payload, [(12, 20)], q)
+        assert rec[0].shape == back[0].shape == (3, 12, 20)
+        assert np.array_equal(back[0], rec[0])
+        assert int(np.abs(rec[0] - patch).max()) <= 8
 
     def test_truncated_payload_never_decodes_silently(self):
         patch = _patch(seed=10)
@@ -177,6 +238,3 @@ class TestReconstruct:
         res = np.full((3, 16, 16), -30, dtype=np.int64)
         out = reconstruct_foreground(pred, res, np.ones((16, 16), dtype=bool))
         assert (out == 0).all()
-
-    def test_flat_weights_shape(self):
-        assert FLAT_WEIGHTS.shape == (8, 8) and (FLAT_WEIGHTS == 1).all()
