@@ -13,19 +13,19 @@ from .bgtemplate import (BackgroundTemplate, TemplateChain, decode_template,
 from .container import (ContainerError, FbvStream, ForegroundRecord,
                         StreamHeader, TemplateRecord, build_segments, budget_of,
                         read_stream, write_stream)
-from .core import (FbvError, Frame, Region, VideoFormatError, VideoSequence,
+from .core import (ConfigError, FbvError, Frame, Region, VideoFormatError, VideoSequence,
                    frame_from_planes, read_y4m, write_y4m)
 from .decode import CompositeFrame, composite, enhance
 from .entropy import (BitBudgetReport, ContextModel, EntropyDecodeError,
                       RangeDecoder, RangeEncoder)
-from .fgregion import FgParams, RegionSet, combine_regions, fp
+from .fgregion import RegionSet, combine_regions, fp
 from .metrics import (QualityReport, bpp, fb_mixture, laplacian_sharpness,
                       ms_ssim, psnr, rd_objective)
 from .motion import FlowField, decode_flow, encode_flow, estimate_flow, warp
 from .pipeline import (QUALITY_LADDER, AnalyzeReport, DecodeResult,
                        EncodeResult, EncoderConfig, RdPoint, TimingReport,
                        analyze_bytes, decode_bytes, decode_frame, decode_stream,
-                       encode, rd_sweep, sweep_csv)
+                       encode, ladder_point, rd_sweep, sweep_csv)
 from .residual import (QualityPoint, decode_residual, encode_residual, quantize,
                        reconstruct_foreground)
 

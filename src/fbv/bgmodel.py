@@ -1,21 +1,21 @@
 """Per-pixel adaptive Gaussian mixture background model.
 
-Each pixel carries K=4 components (weight, per-channel mean, shared scalar
-variance). A frame pixel matches the highest-ranked component whose summed
-squared channel distance is within match_threshold * variance per channel
-(gate: sum_c d_c^2 <= 3 * threshold * variance). Components are ranked by
-weight / sqrt(variance); the smallest prefix of ranked weights reaching
-bg_prefix is labeled background. A pixel is a raw foreground point when it
-matches no component or matches one outside that prefix.
+Each pixel carries COMPONENTS components (weight, per-channel mean, shared
+scalar variance). A frame pixel matches the highest-ranked component whose
+summed squared channel distance is within MATCH_THRESHOLD * variance per
+channel (gate: sum_c d_c^2 <= 3 * threshold * variance). Components are
+ranked by weight / sqrt(variance); the smallest prefix of ranked weights
+reaching BG_PREFIX is labeled background. A pixel is a raw foreground point
+when it matches no component or matches one outside that prefix.
 
 Updates follow the running-average schedule: the global rate anneals as
 max(learning_rate, 1/n) over the first frames (n counts every frame seen,
 the seed frame included), which makes the early phase an exact incremental
 average and the steady state the configured rate. The matched component's
 mean moves by rho = min(1, alpha / new_weight); its variance tracks the
-mean squared channel distance to the updated mean, floored. A no-match
-pixel replaces its lowest-ranked component with (new_component_weight,
-frame value, initial_variance) and renormalizes.
+mean squared channel distance to the updated mean, floored at
+VARIANCE_FLOOR. A no-match pixel replaces its lowest-ranked component with
+(NEW_COMPONENT_WEIGHT, frame value, INITIAL_VARIANCE) and renormalizes.
 """
 
 from __future__ import annotations
@@ -27,32 +27,24 @@ import numpy as np
 from .core import Frame, FbvError, round_half_up
 
 
+COMPONENTS = 4
+INITIAL_VARIANCE = 15.0
+MATCH_THRESHOLD = 16.0
+VARIANCE_FLOOR = 4.0
+BG_PREFIX = 0.75
+NEW_COMPONENT_WEIGHT = 0.05
+
+
 @dataclass(frozen=True)
 class GmmParams:
     learning_rate: float = 0.005
-    initial_variance: float = 15.0
-    match_threshold: float = 16.0
-    variance_floor: float = 4.0
     init_frames: int = 200
-    bg_prefix: float = 0.75
-    new_component_weight: float = 0.05
-    components: int = 4
 
     def __post_init__(self) -> None:
         if not (0 < self.learning_rate <= 1):
             raise ValueError("learning_rate must be in (0, 1]")
-        if self.initial_variance <= 0 or self.variance_floor <= 0:
-            raise ValueError("variances must be positive")
-        if self.match_threshold <= 0:
-            raise ValueError("match_threshold must be positive")
         if self.init_frames < 1:
             raise ValueError("init_frames must be >= 1")
-        if not (0 < self.bg_prefix <= 1):
-            raise ValueError("bg_prefix must be in (0, 1]")
-        if not (0 < self.new_component_weight < 1):
-            raise ValueError("new_component_weight must be in (0, 1)")
-        if self.components < 2:
-            raise ValueError("need at least 2 components")
 
 
 @dataclass
@@ -67,13 +59,6 @@ class GmmState:
     def shape(self) -> tuple[int, int]:
         return self.weights.shape[1], self.weights.shape[2]
 
-    def check_invariants(self) -> None:
-        active = self.weights.sum(axis=0)
-        if not np.allclose(active, 1.0, atol=1e-6):
-            raise FbvError("component weights do not sum to 1")
-        if (self.variances < self.params.variance_floor - 1e-12).any():
-            raise FbvError("variance below floor")
-
 
 @dataclass(frozen=True)
 class SeparationResult:
@@ -86,13 +71,12 @@ class SeparationResult:
 
 
 def _seed_state(frame: Frame, params: GmmParams) -> GmmState:
-    k = params.components
     h, w = frame.planes.shape[1:]
-    weights = np.zeros((k, h, w), dtype=np.float64)
+    weights = np.zeros((COMPONENTS, h, w), dtype=np.float64)
     weights[0] = 1.0
-    means = np.zeros((k, 3, h, w), dtype=np.float64)
+    means = np.zeros((COMPONENTS, 3, h, w), dtype=np.float64)
     means[0] = frame.planes.astype(np.float64)
-    variances = np.full((k, h, w), params.initial_variance, dtype=np.float64)
+    variances = np.full((COMPONENTS, h, w), INITIAL_VARIANCE, dtype=np.float64)
     return GmmState(params, weights, means, variances, frames_seen=1)
 
 
@@ -109,11 +93,10 @@ def gmm_update(state: GmmState, frame: Frame) -> tuple[GmmState, SeparationResul
         raise ValueError("frame dimensions do not match model")
     x = frame.planes.astype(np.float64)            # (3, H, W)
     weights, means, variances = state.weights, state.means, state.variances
-    k = p.components
 
     diff = x[None] - means                         # (K, 3, H, W)
     d2 = np.einsum("kchw,kchw->khw", diff, diff)
-    gate = (d2 <= 3.0 * p.match_threshold * variances) & (weights > 0.0)
+    gate = (d2 <= 3.0 * MATCH_THRESHOLD * variances) & (weights > 0.0)
 
     order = _rank_order(state)                     # (K, H, W) comp index by rank
     gate_ranked = np.take_along_axis(gate, order, axis=0)
@@ -124,7 +107,7 @@ def gmm_update(state: GmmState, frame: Frame) -> tuple[GmmState, SeparationResul
     # background label against the pre-update ranking
     w_ranked = np.take_along_axis(weights, order, axis=0)
     cum_before = np.cumsum(w_ranked, axis=0) - w_ranked
-    prefix_ranked = cum_before < p.bg_prefix
+    prefix_ranked = cum_before < BG_PREFIX
     in_prefix = np.take_along_axis(prefix_ranked, first_rank[None], axis=0)[0]
     points = ~(any_match & in_prefix)
 
@@ -136,7 +119,7 @@ def gmm_update(state: GmmState, frame: Frame) -> tuple[GmmState, SeparationResul
     new_var = variances.copy()
 
     # matched pixels: decay all weights, bump the matched component
-    sel = np.arange(k)[:, None, None] == matched[None]
+    sel = np.arange(COMPONENTS)[:, None, None] == matched[None]
     upd = sel & any_match[None]
     new_w = np.where(any_match[None], (1.0 - alpha) * new_w, new_w)
     new_w = np.where(upd, new_w + alpha, new_w)
@@ -151,12 +134,12 @@ def gmm_update(state: GmmState, frame: Frame) -> tuple[GmmState, SeparationResul
 
     # unmatched pixels: overwrite the worst-ranked component, renormalize
     worst = order[-1]
-    repl = (np.arange(k)[:, None, None] == worst[None]) & ~any_match[None]
-    new_w = np.where(repl, p.new_component_weight, new_w)
+    repl = (np.arange(COMPONENTS)[:, None, None] == worst[None]) & ~any_match[None]
+    new_w = np.where(repl, NEW_COMPONENT_WEIGHT, new_w)
     new_mu = np.where(repl[:, None], x[None], new_mu)
-    new_var = np.where(repl, p.initial_variance, new_var)
+    new_var = np.where(repl, INITIAL_VARIANCE, new_var)
     new_w = new_w / new_w.sum(axis=0, keepdims=True)
-    new_var = np.maximum(new_var, p.variance_floor)
+    new_var = np.maximum(new_var, VARIANCE_FLOOR)
 
     out = GmmState(p, new_w, new_mu, new_var, frames_seen=n)
     background = background_estimate(out, frame.frame_index)

@@ -31,6 +31,7 @@ from .residual import QualityPoint, decode_residual, encode_residual
 TEMPLATE_QUALITY = QualityPoint(1.0, 6)
 ANCHOR_VALUE = 128
 DEFAULT_GAMMA = 0.98
+ANCHOR_INTERVAL = 16
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ class TemplateChain:
     """Ordered templates plus the gate threshold that grew the chain."""
 
     gamma: float = DEFAULT_GAMMA
-    anchor_interval: int = 16
+    anchor_interval: int = ANCHOR_INTERVAL
     templates: list[BackgroundTemplate] = field(default_factory=list)
 
     def __post_init__(self) -> None:

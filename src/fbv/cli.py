@@ -1,9 +1,10 @@
 """Command-line surface: encode, decode, analyze, rd-sweep.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 malformed input
-(video or container format), 4 file I/O failure. Every EncoderConfig field
-is reachable both as a --flag and as a key in the flat key=value config
-file; explicit flags override the file, which overrides defaults.
+Exit codes: 0 success, 2 usage or configuration error (a setting that does
+not fit the input included), 3 malformed input (video or container format),
+4 file I/O failure. Every EncoderConfig field is reachable both as a --flag
+and as a key in the flat key=value config file; explicit flags override the
+file, which overrides defaults.
 """
 
 from __future__ import annotations
@@ -12,12 +13,11 @@ import argparse
 import sys
 from dataclasses import fields
 
-from .container import ContainerError
-from .core import FbvError, VideoFormatError, read_y4m, write_y4m
+from .core import FbvError, read_y4m, write_y4m
 from .entropy import EntropyDecodeError
 from .metrics import bpp, quality_csv, summary_json
 from .pipeline import (QUALITY_LADDER, EncoderConfig, analyze_bytes,
-                       decode_bytes, encode, rd_sweep, sweep_csv)
+                       decode_bytes, encode, ladder_point, rd_sweep, sweep_csv)
 from .residual import QualityPoint
 
 EXIT_OK = 0
@@ -25,8 +25,8 @@ EXIT_USAGE = 2
 EXIT_FORMAT = 3
 EXIT_IO = 4
 
-_CONFIG_FIELDS = {f.name: f.type for f in fields(EncoderConfig)}
-_INT_FIELDS = {name for name, t in _CONFIG_FIELDS.items() if t == "int"}
+# the parser of each config field, for its --flag and its config-file key
+_CONFIG_FIELDS = {f.name: int if f.type == "int" else float for f in fields(EncoderConfig)}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -43,7 +43,7 @@ def _parse_config_file(path: str) -> dict:
             val = val.strip()
             if key not in _CONFIG_FIELDS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = int(val) if key in _INT_FIELDS else float(val)
+            values[key] = _CONFIG_FIELDS[key](val)
     return values
 
 
@@ -54,8 +54,7 @@ def _add_config_flags(ap: argparse.ArgumentParser) -> None:
                          "(sets delta-q and levels together)")
     for name, ftype in _CONFIG_FIELDS.items():
         flag = "--" + name.replace("_", "-")
-        ap.add_argument(flag, type=int if name in _INT_FIELDS else float,
-                        default=None, metavar="V", dest=name)
+        ap.add_argument(flag, type=ftype, default=None, metavar="V", dest=name)
 
 
 def _build_config(args: argparse.Namespace) -> EncoderConfig:
@@ -63,9 +62,7 @@ def _build_config(args: argparse.Namespace) -> EncoderConfig:
     if args.config:
         values.update(_parse_config_file(args.config))
     if args.quality is not None:
-        if args.quality not in QUALITY_LADDER:
-            raise ValueError(f"--quality must be one of {sorted(QUALITY_LADDER)}")
-        q = QUALITY_LADDER[args.quality]
+        q = ladder_point(args.quality)
         values["delta_q"] = q.delta_q
         values["levels"] = q.levels
     for name in _CONFIG_FIELDS:
@@ -130,10 +127,7 @@ def _parse_quality_token(token: str) -> QualityPoint:
     if ":" in tok:
         d, _, l = tok.partition(":")
         return QualityPoint(float(d), int(l))
-    point = int(tok)
-    if point not in QUALITY_LADDER:
-        raise ValueError(f"unknown ladder point {token!r}")
-    return QUALITY_LADDER[point]
+    return ladder_point(int(tok))
 
 
 def _cmd_rd_sweep(args: argparse.Namespace) -> int:
@@ -194,10 +188,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as e:
         print(f"fbv: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (VideoFormatError, ContainerError, EntropyDecodeError) as e:
-        print(f"fbv: {e}", file=sys.stderr)
-        return EXIT_FORMAT
-    except FbvError as e:
+    except (FbvError, EntropyDecodeError) as e:
         print(f"fbv: {e}", file=sys.stderr)
         return EXIT_FORMAT
     except OSError as e:

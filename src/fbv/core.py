@@ -22,6 +22,10 @@ class FbvError(Exception):
     """Base for all package errors."""
 
 
+class ConfigError(FbvError, ValueError):
+    """An encoder setting that does not fit the input."""
+
+
 class VideoFormatError(FbvError):
     """Malformed or unsupported raw-video input."""
 

@@ -1,12 +1,14 @@
 """Foreground region extraction: raw points -> rectangular coding regions.
 
 The cleanup pipeline runs, in order: 3x3 majority vote (a pixel survives when
-at least 5 of its 9-neighborhood are set), morphological open with a 3x3
-square, dilate with a 5x5 square, 8-connected component labeling, per
-component an axis-aligned bounding rectangle (components under
-min_component_pixels are dropped), rectangle snapping to the 8-pixel grid,
-then transitive merging of rectangles that overlap or touch. Merging after
-snapping guarantees the emitted rectangles are pairwise disjoint.
+at least MAJORITY_VOTES of its 9-neighborhood are set), morphological open
+with an OPEN_SIZE square, dilate with a DILATE_SIZE square, 8-connected
+component labeling, per component an axis-aligned bounding rectangle,
+rectangle snapping to the GRID-pixel grid, then transitive merging of
+rectangles that overlap or touch. Merging after snapping guarantees the
+emitted rectangles are pairwise disjoint. No component is too small to keep:
+the opening leaves whole 3x3 blocks, which the dilation grows to at least
+5x5 pixels inside any frame (core.MIN_DIM is 16).
 
 Snapping moves the origin down and the far edge up to multiples of 8 and
 clamps to the frame. When a frame dimension is not a multiple of 8 the
@@ -17,6 +19,7 @@ origin inward instead, so every region is at least 8x8.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,26 +27,12 @@ from scipy import ndimage
 
 from .core import Frame, Region
 
+MAJORITY_VOTES = 5
+OPEN_SIZE = 3
+DILATE_SIZE = 5
+GRID = 8
+
 _CONN8 = np.ones((3, 3), dtype=bool)
-
-
-@dataclass(frozen=True)
-class FgParams:
-    majority_votes: int = 5
-    open_size: int = 3
-    dilate_size: int = 5
-    min_component_pixels: int = 16
-    grid: int = 8
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.majority_votes <= 9):
-            raise ValueError("majority_votes must be in 1..9")
-        if self.open_size < 1 or self.dilate_size < 1:
-            raise ValueError("element sizes must be >= 1")
-        if self.min_component_pixels < 1:
-            raise ValueError("min_component_pixels must be >= 1")
-        if self.grid < 1:
-            raise ValueError("grid must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -58,10 +47,7 @@ class RegionSet:
         for r in self.regions:
             if r.x2 > self.width or r.y2 > self.height:
                 raise ValueError(f"region {r} exceeds {self.width}x{self.height}")
-        for i, a in enumerate(self.regions):
-            for b in self.regions[i + 1:]:
-                if a.overlaps(b):
-                    raise ValueError(f"regions overlap: {a} / {b}")
+        _check_disjoint(self.regions)
 
     def __len__(self) -> int:
         return len(self.regions)
@@ -78,22 +64,42 @@ class RegionSet:
         return sum(r.area for r in self.regions)
 
 
-def _majority(points: np.ndarray, votes: int) -> np.ndarray:
+def _check_disjoint(regions: tuple[Region, ...]) -> None:
+    """Raise ValueError if two rectangles overlap, in O(n log n) comparisons:
+    a sweep down the rows keeps the disjoint x-intervals crossing the row
+    sorted, so a new one can only overlap its two neighbours. Rectangles
+    leave a row before others arrive on it, as touching edges do not overlap."""
+    events = sorted([(r.y2, 0, i) for i, r in enumerate(regions)]
+                    + [(r.y, 1, i) for i, r in enumerate(regions)])
+    active: list[tuple[int, int, int]] = []        # (x, x2, index), sorted
+    for _, arrives, i in events:
+        r = regions[i]
+        pos = bisect_left(active, (r.x, r.x2, i))
+        if not arrives:
+            del active[pos]
+            continue
+        for _, _, j in active[max(pos - 1, 0):pos + 1]:
+            if regions[j].overlaps(r):
+                raise ValueError(f"regions overlap: {regions[j]} / {r}")
+        active.insert(pos, (r.x, r.x2, i))
+
+
+def _majority(points: np.ndarray) -> np.ndarray:
     counts = ndimage.convolve(points.astype(np.int64), np.ones((3, 3), dtype=np.int64),
                               mode="constant", cval=0)
-    return counts >= votes
+    return counts >= MAJORITY_VOTES
 
 
-def _snap(r: Region, height: int, width: int, grid: int) -> Region:
-    x1 = (r.x // grid) * grid
-    y1 = (r.y // grid) * grid
-    x2 = min(-(-r.x2 // grid) * grid, width)
-    y2 = min(-(-r.y2 // grid) * grid, height)
+def _snap(r: Region, height: int, width: int) -> Region:
+    x1 = (r.x // GRID) * GRID
+    y1 = (r.y // GRID) * GRID
+    x2 = min(-(-r.x2 // GRID) * GRID, width)
+    y2 = min(-(-r.y2 // GRID) * GRID, height)
     # keep at least one grid cell when the clamp ate the rounding slack
-    if x2 - x1 < grid:
-        x1 = max(0, x2 - grid)
-    if y2 - y1 < grid:
-        y1 = max(0, y2 - grid)
+    if x2 - x1 < GRID:
+        x1 = max(0, x2 - GRID)
+    if y2 - y1 < GRID:
+        y1 = max(0, y2 - GRID)
     return Region(x1, y1, x2 - x1, y2 - y1)
 
 
@@ -115,27 +121,21 @@ def _merge_transitive(rects: list[Region]) -> list[Region]:
     return sorted(rects, key=lambda r: (r.y, r.x))
 
 
-def fp(frame: Frame, points: np.ndarray, params: FgParams = FgParams()) -> RegionSet:
+def fp(frame: Frame, points: np.ndarray) -> RegionSet:
     """Raw foreground points -> cleaned, grid-aligned, disjoint regions."""
     h, w = frame.height, frame.width
     if points.shape != (h, w):
         raise ValueError("points mask does not match frame dimensions")
-    m = _majority(points.astype(bool), params.majority_votes)
-    o = np.ones((params.open_size, params.open_size), dtype=bool)
+    m = _majority(points.astype(bool))
+    o = np.ones((OPEN_SIZE, OPEN_SIZE), dtype=bool)
     m = ndimage.binary_opening(m, structure=o)
-    d = np.ones((params.dilate_size, params.dilate_size), dtype=bool)
+    d = np.ones((DILATE_SIZE, DILATE_SIZE), dtype=bool)
     m = ndimage.binary_dilation(m, structure=d)
-    labels, count = ndimage.label(m, structure=_CONN8)
+    labels, _ = ndimage.label(m, structure=_CONN8)
     rects: list[Region] = []
-    if count:
-        sizes = ndimage.sum_labels(m, labels, index=np.arange(1, count + 1))
-        slices = ndimage.find_objects(labels)
-        for size, sl in zip(sizes, slices):
-            if size < params.min_component_pixels:
-                continue
-            ys, xs = sl
-            raw = Region(xs.start, ys.start, xs.stop - xs.start, ys.stop - ys.start)
-            rects.append(_snap(raw, h, w, params.grid))
+    for ys, xs in ndimage.find_objects(labels):
+        raw = Region(xs.start, ys.start, xs.stop - xs.start, ys.stop - ys.start)
+        rects.append(_snap(raw, h, w))
     return RegionSet(tuple(_merge_transitive(rects)), h, w)
 
 

@@ -40,14 +40,15 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .bgmodel import GmmParams, background_estimate, gmm_init, gmm_update
-from .bgtemplate import TemplateChain, decode_template, interpolated_background
+from .bgtemplate import (ANCHOR_INTERVAL, DEFAULT_GAMMA, TemplateChain, decode_template,
+                         interpolated_background)
 from .container import (GAMMA_SCALE, ContainerError, FbvStream, ForegroundRecord,
                         StreamHeader, TemplateRecord, build_segments, budget_of,
                         foreground_payload, read_stream, template_payload, write_stream)
-from .core import FbvError, Frame, VideoSequence
-from .decode import DEFAULT_BAND, CompositeFrame, composite, enhance
+from .core import ConfigError, FbvError, Frame, VideoSequence
+from .decode import CompositeFrame, composite, enhance
 from .entropy import BitBudgetReport
-from .fgregion import FgParams, RegionSet, combine_regions, fp
+from .fgregion import RegionSet, combine_regions, fp
 from .metrics import (QualityReport, bpp, fb_mixture, laplacian_sharpness,
                       ms_ssim, psnr, rd_objective)
 from .motion import decode_flow, encode_flow, estimate_flow, warp
@@ -63,46 +64,38 @@ QUALITY_LADDER = {
 }
 
 
+def ladder_point(point: int) -> QualityPoint:
+    """The quality point at a rate ladder position."""
+    if point not in QUALITY_LADDER:
+        raise ValueError(f"unknown ladder point {point!r}: "
+                         f"quality point must be one of {sorted(QUALITY_LADDER)}")
+    return QUALITY_LADDER[point]
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     """Every encoder knob, flat so each field maps to one CLI flag/config key.
 
-    The decode-relevant subset (quality point and gate threshold) is
-    serialized into the stream header; the rest only shapes the encoder's
-    choices and never needs to travel.
+    The quality point and the gate threshold are serialized into the stream
+    header; the learning rate, the training length and the anchor cadence
+    only shape the encoder's choices and never need to travel. The mixture
+    and region-cleanup constants are fixed in bgmodel and fgregion.
     """
 
-    gamma: float = 0.98
+    gamma: float = DEFAULT_GAMMA
     delta_q: float = 8.0
     levels: int = 1
     learning_rate: float = 0.005
-    initial_variance: float = 15.0
-    match_threshold: float = 16.0
-    variance_floor: float = 4.0
     init_frames: int = 200
-    bg_prefix: float = 0.75
-    new_component_weight: float = 0.05
-    components: int = 4
-    majority_votes: int = 5
-    open_size: int = 3
-    dilate_size: int = 5
-    min_component_pixels: int = 16
-    grid: int = 8
-    anchor_interval: int = 16
-    feather_band: int = 3
+    anchor_interval: int = ANCHOR_INTERVAL
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.gamma < 1.0):
-            raise ValueError("gamma must be in (0, 1)")
+        # constructing each part checks its fields, so bad values fail here
+        self.quality
+        self.gmm_params
+        TemplateChain(self.gamma, self.anchor_interval)
         if not (0 < round(self.gamma * GAMMA_SCALE) < GAMMA_SCALE):
             raise ValueError(f"gamma must stay inside (0, 1) at 1/{GAMMA_SCALE} precision")
-        if self.anchor_interval < 1:
-            raise ValueError("anchor_interval must be >= 1")
-        if not (0 <= self.feather_band <= 16):
-            raise ValueError("feather_band must be in [0, 16]")
-        self.quality    # construct once so bad values fail here
-        self.gmm_params
-        self.fg_params
 
     @property
     def quality(self) -> QualityPoint:
@@ -110,30 +103,11 @@ class EncoderConfig:
 
     @property
     def gmm_params(self) -> GmmParams:
-        return GmmParams(
-            learning_rate=self.learning_rate,
-            initial_variance=self.initial_variance,
-            match_threshold=self.match_threshold,
-            variance_floor=self.variance_floor,
-            init_frames=self.init_frames,
-            bg_prefix=self.bg_prefix,
-            new_component_weight=self.new_component_weight,
-            components=self.components)
-
-    @property
-    def fg_params(self) -> FgParams:
-        return FgParams(
-            majority_votes=self.majority_votes,
-            open_size=self.open_size,
-            dilate_size=self.dilate_size,
-            min_component_pixels=self.min_component_pixels,
-            grid=self.grid)
+        return GmmParams(learning_rate=self.learning_rate, init_frames=self.init_frames)
 
     @classmethod
     def from_quality(cls, point: int, **overrides) -> "EncoderConfig":
-        if point not in QUALITY_LADDER:
-            raise ValueError(f"quality point must be one of {sorted(QUALITY_LADDER)}")
-        q = QUALITY_LADDER[point]
+        q = ladder_point(point)
         return cls(delta_q=q.delta_q, levels=q.levels, **overrides)
 
 
@@ -241,10 +215,11 @@ def encode(video: VideoSequence, config: EncoderConfig = EncoderConfig()) -> Enc
     n = len(frames)
     h, w = frames[0].height, frames[0].width
     if n < config.init_frames:
-        raise FbvError(
+        raise ConfigError(
             f"sequence has {n} frames but model initialization needs "
             f"{config.init_frames}")
     q = config.quality
+    gamma_fp = round(config.gamma * GAMMA_SCALE)
     clock = {"separation": 0.0, "background": 0.0, "foreground": 0.0,
              "motion": 0.0, "compensation": 0.0, "residual": 0.0}
     t_start = time.perf_counter()
@@ -254,7 +229,8 @@ def encode(video: VideoSequence, config: EncoderConfig = EncoderConfig()) -> Enc
     state = gmm_init(frames[:config.init_frames], config.gmm_params)
     clock["separation"] += time.perf_counter() - t0
     t0 = time.perf_counter()
-    chain = TemplateChain(gamma=config.gamma, anchor_interval=config.anchor_interval)
+    # gate against the gamma the header records, not the unrounded setting
+    chain = TemplateChain(gamma=gamma_fp / GAMMA_SCALE, anchor_interval=config.anchor_interval)
     chain.admit(Frame(background_estimate(state).planes, 0))
     clock["background"] += time.perf_counter() - t0
 
@@ -274,7 +250,7 @@ def encode(video: VideoSequence, config: EncoderConfig = EncoderConfig()) -> Enc
         if t > chain.current.frame_index:    # the anchor already holds frame 0
             chain.admit(candidate, score)
         t2 = time.perf_counter()
-        rs_cur = fp(frames[t], sep.points, config.fg_params)
+        rs_cur = fp(frames[t], sep.points)
         used = combine_regions(rs_prev, rs_cur)
         if used.regions:
             ref = prev_fg if prev_fg is not None else _zero_frame(h, w, t)
@@ -293,7 +269,7 @@ def encode(video: VideoSequence, config: EncoderConfig = EncoderConfig()) -> Enc
     header = StreamHeader(
         width=w, height=h, fps_num=video.fps_num, fps_den=video.fps_den,
         frame_count=n, levels=q.levels, delta_fp=q.delta_fp,
-        gamma_fp=round(config.gamma * GAMMA_SCALE))
+        gamma_fp=gamma_fp)
     templates = tuple(TemplateRecord(bt.frame_index, bt.anchor, bt.payload)
                       for bt in chain.templates)
     stream = FbvStream(header, templates,
@@ -379,31 +355,29 @@ def _composites(timgs, fg_map, frame_nos):
             yield CompositeFrame(bg, np.zeros((bg.height, bg.width), dtype=bool)), None
 
 
-def _output(comp: CompositeFrame, rs: RegionSet | None, enhance_output: bool,
-            band: int) -> Frame:
+def _output(comp: CompositeFrame, rs: RegionSet | None, enhance_output: bool) -> Frame:
     if rs is None or not enhance_output:
         return comp.image
-    return enhance(comp, rs, band)
+    return enhance(comp, rs)
 
 
-def decode_stream(stream: FbvStream, enhance_output: bool = True,
-                  band: int = DEFAULT_BAND) -> tuple[list[Frame], list[Frame]]:
+def decode_stream(stream: FbvStream,
+                  enhance_output: bool = True) -> tuple[list[Frame], list[Frame]]:
     """Full-sequence decode. Returns (pre-enhancement, output) frame lists."""
     timgs = _decode_templates(stream, stream.templates)
     fg_map = _decode_foreground(stream, stream.foregrounds)
     # composite every frame before enhancing any: interleaving the two raised peak RSS
     comps = list(_composites(timgs, fg_map, range(stream.header.frame_count)))
     pre = [c.image for c, _ in comps]
-    return pre, [_output(c, rs, enhance_output, band) for c, rs in comps]
+    return pre, [_output(c, rs, enhance_output) for c, rs in comps]
 
 
 def decode_bytes(data: bytes, enhance_output: bool = True,
-                 band: int = DEFAULT_BAND,
                  reference: VideoSequence | None = None) -> DecodeResult:
     """Decode a container; optionally score the output against a reference."""
     t0 = time.perf_counter()
     stream = read_stream(data)
-    pre, out = decode_stream(stream, enhance_output, band)
+    pre, out = decode_stream(stream, enhance_output)
     total = time.perf_counter() - t0
     video = VideoSequence(tuple(out), stream.header.fps_num, stream.header.fps_den)
     quality = None
@@ -415,8 +389,7 @@ def decode_bytes(data: bytes, enhance_output: bool = True,
                         decode_total_s=total)
 
 
-def decode_frame(stream: FbvStream, frame_no: int, enhance_output: bool = True,
-                 band: int = DEFAULT_BAND) -> Frame:
+def decode_frame(stream: FbvStream, frame_no: int, enhance_output: bool = True) -> Frame:
     """Random access: decode one frame, bit-identical to the sequential path."""
     n = stream.header.frame_count
     if not 0 <= frame_no < n:
@@ -435,7 +408,7 @@ def decode_frame(stream: FbvStream, frame_no: int, enhance_output: bool = True,
         lag = [f - idx for idx, f in enumerate(fg_frames)]
         run = stream.foregrounds[bisect_left(lag, lag[end - 1]):end]
     (comp, rs), = _composites(timgs, _decode_foreground(stream, run), [frame_no])
-    return _output(comp, rs, enhance_output, band)
+    return _output(comp, rs, enhance_output)
 
 
 def _masked(planes: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -549,22 +522,14 @@ class RdPoint:
 def rd_sweep(video: VideoSequence, points,
              config: EncoderConfig = EncoderConfig()) -> list[RdPoint]:
     """Encode/decode/measure once per quality point (needs at least two)."""
-    resolved = []
-    for pt in points:
-        if isinstance(pt, QualityPoint):
-            resolved.append(pt)
-        else:
-            if pt not in QUALITY_LADDER:
-                raise ValueError(f"unknown ladder point {pt!r}")
-            resolved.append(QUALITY_LADDER[pt])
+    resolved = [pt if isinstance(pt, QualityPoint) else ladder_point(pt) for pt in points]
     if len(resolved) < 2:
         raise ValueError("a sweep needs at least two quality points")
     rows = []
     for q in resolved:
         cfg = replace(config, delta_q=q.delta_q, levels=q.levels)
         data = encode(video, cfg).data
-        score = decode_bytes(data, enhance_output=cfg.feather_band > 0,
-                             band=max(cfg.feather_band, 1), reference=video).quality
+        score = decode_bytes(data, reference=video).quality
         rows.append(RdPoint(q.delta_q, q.levels, score.bpp, score.psnr_mean,
                             score.ms_ssim_mean, score.fb_mixture))
     return rows

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from fbv.bgmodel import GmmParams, GmmState, background_estimate, gmm_init, gmm_update
+from fbv.bgmodel import (BG_PREFIX, COMPONENTS, INITIAL_VARIANCE, MATCH_THRESHOLD,
+                         NEW_COMPONENT_WEIGHT, VARIANCE_FLOOR, GmmParams, GmmState,
+                         background_estimate, gmm_init, gmm_update)
 from fbv.core import FbvError, Frame
 
 SMALL = GmmParams(init_frames=8)
@@ -26,13 +28,13 @@ class ScalarMixture:
 
     def __init__(self, x0, p: GmmParams):
         self.p = p
-        self.w = [1.0] + [0.0] * (p.components - 1)
-        self.mu = [list(map(float, x0))] + [[0.0, 0.0, 0.0]] * (p.components - 1)
-        self.var = [p.initial_variance] * p.components
+        self.w = [1.0] + [0.0] * (COMPONENTS - 1)
+        self.mu = [list(map(float, x0))] + [[0.0, 0.0, 0.0]] * (COMPONENTS - 1)
+        self.var = [INITIAL_VARIANCE] * COMPONENTS
         self.n = 1
 
     def _ranked(self):
-        keys = [(-self.w[k] / (self.var[k] ** 0.5), k) for k in range(self.p.components)]
+        keys = [(-self.w[k] / (self.var[k] ** 0.5), k) for k in range(COMPONENTS)]
         return [k for _, k in sorted(keys, key=lambda t: (t[0], t[1]))]
 
     def update(self, x):
@@ -44,7 +46,7 @@ class ScalarMixture:
             if self.w[k] <= 0.0:
                 continue
             d2 = sum((xc - mc) ** 2 for xc, mc in zip(x, self.mu[k]))
-            if d2 <= 3.0 * p.match_threshold * self.var[k]:
+            if d2 <= 3.0 * MATCH_THRESHOLD * self.var[k]:
                 match = k
                 break
         # foreground point decision against the pre-update ranking
@@ -53,14 +55,14 @@ class ScalarMixture:
             cum = 0.0
             for k in order:
                 if k == match:
-                    if cum < p.bg_prefix:
+                    if cum < BG_PREFIX:
                         is_point = False
                     break
                 cum += self.w[k]
         self.n += 1
         alpha = max(p.learning_rate, 1.0 / self.n)
         if match is not None:
-            for k in range(p.components):
+            for k in range(COMPONENTS):
                 self.w[k] *= 1.0 - alpha
             self.w[match] += alpha
             rho = min(max(alpha / max(self.w[match], 1e-12), 0.0), 1.0)
@@ -69,12 +71,12 @@ class ScalarMixture:
             self.var[match] = (1.0 - rho) * self.var[match] + rho * d2n
         else:
             worst = order[-1]
-            self.w[worst] = p.new_component_weight
+            self.w[worst] = NEW_COMPONENT_WEIGHT
             self.mu[worst] = x
-            self.var[worst] = p.initial_variance
+            self.var[worst] = INITIAL_VARIANCE
             total = sum(self.w)
             self.w = [w / total for w in self.w]
-        self.var = [max(v, p.variance_floor) for v in self.var]
+        self.var = [max(v, VARIANCE_FLOOR) for v in self.var]
         return is_point
 
     def background(self):
@@ -114,7 +116,7 @@ class TestAgainstScalarOracle:
                 got_bg = [int(bgs_got[t - 1][c, py, px]) for c in range(3)]
                 assert got_bg == want_bg, (py, px, t)
 
-            w_state = [state.weights[k, py, px] for k in range(p.components)]
+            w_state = [state.weights[k, py, px] for k in range(COMPONENTS)]
             assert np.allclose(sorted(w_state), sorted(ref.w), atol=1e-9)
             assert np.allclose(sorted(state.variances[:, py, px]),
                                sorted(ref.var), atol=1e-7)
@@ -127,7 +129,7 @@ class TestInit:
         bg = background_estimate(state)
         assert (bg.planes == 100).all()
         assert state.weights[0].min() == pytest.approx(1.0)
-        assert state.variances[0].max() == SMALL.variance_floor
+        assert state.variances[0].max() == VARIANCE_FLOOR
 
     def test_exact_frame_count_required(self):
         frames = _video(_const(100, n=7))
@@ -194,9 +196,8 @@ class TestStateInvariants:
         for t in range(30):
             f = Frame(rng.integers(0, 256, (3, 16, 16), dtype=np.uint8).astype(np.uint8), t)
             state, _ = gmm_update(state, f)
-            state.check_invariants()
             assert np.allclose(state.weights.sum(axis=0), 1.0, atol=1e-9)
-            assert state.variances.min() >= p.variance_floor - 1e-12
+            assert state.variances.min() >= VARIANCE_FLOOR - 1e-12
 
     def test_update_is_deterministic(self):
         frames = _video(_const(100))

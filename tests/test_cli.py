@@ -192,6 +192,26 @@ class TestExitCodes:
         assert rc == EXIT_USAGE
         assert not out.exists()
 
+    def test_too_few_frames_for_the_default_warm_up_is_a_usage_error(self, work, tmp_path):
+        # the 16-frame clip is well formed; the default --init-frames 200 does not fit it
+        _, src, _ = work
+        out = tmp_path / "x.fbv"
+        rc = main(["encode", "-i", str(src), "-o", str(out)])
+        assert rc == EXIT_USAGE
+        assert not out.exists()
+
+    def test_fixed_constants_are_not_settings(self, work, tmp_path):
+        _, src, _ = work
+        out = tmp_path / "x.fbv"
+        rc = main(["encode", "-i", str(src), "-o", str(out), "--init-frames", "8",
+                   "--components", "3"])
+        assert rc == EXIT_USAGE
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("init_frames = 8\ngrid = 8\n")
+        rc = main(["encode", "-i", str(src), "-o", str(out), "--config", str(cfg)])
+        assert rc == EXIT_USAGE
+        assert not out.exists()
+
     def test_bad_quality_point(self, work, tmp_path):
         _, src, _ = work
         rc = main(["encode", "-i", str(src), "-o", str(tmp_path / "x.fbv"),

@@ -1,14 +1,18 @@
 """Region extraction against a from-scratch scalar pipeline."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
+from fbv import fgregion
 from fbv.core import Frame, Region
-from fbv.fgregion import FgParams, RegionSet, combine_regions, fp
+from fbv.fgregion import (DILATE_SIZE, GRID, MAJORITY_VOTES, OPEN_SIZE, RegionSet,
+                          combine_regions, fp)
 
 
 def _frame(h, w, index=0):
@@ -129,19 +133,22 @@ def _o_merge(boxes):
     return sorted(boxes)
 
 
-def _o_pipeline(points, h, w, params):
-    m = _o_majority(points, params.majority_votes)
-    m = _o_dilate(_o_erode(m, params.open_size), params.open_size)
-    m = _o_dilate(m, params.dilate_size)
+def _o_pipeline(points, h, w):
+    m = _o_majority(points, MAJORITY_VOTES)
+    m = _o_dilate(_o_erode(m, OPEN_SIZE), OPEN_SIZE)
+    m = _o_dilate(m, DILATE_SIZE)
     boxes = []
     for pixels in _o_components(m):
-        if len(pixels) < params.min_component_pixels:
-            continue
         ys = [p[0] for p in pixels]
         xs = [p[1] for p in pixels]
         box = (min(ys), min(xs), max(ys) + 1, max(xs) + 1)
-        boxes.append(_o_snap(box, h, w, params.grid))
+        boxes.append(_o_snap(box, h, w, GRID))
     return _o_merge(boxes)
+
+
+def _o_disjoint(regions):
+    """Pairwise: no two rectangles share an interior point."""
+    return not any(a.overlaps(b) for i, a in enumerate(regions) for b in regions[i + 1:])
 
 
 def _as_boxes(rs):
@@ -157,18 +164,16 @@ class TestAgainstOracle:
         rng = np.random.default_rng(seed)
         h = w = 32
         points = rng.random((h, w)) < density
-        params = FgParams()
-        got = fp(_frame(h, w), points, params)
-        want = _o_pipeline(points, h, w, params)
+        got = fp(_frame(h, w), points)
+        want = _o_pipeline(points, h, w)
         assert _as_boxes(got) == want
 
     def test_off_grid_frame_dimensions(self):
         rng = np.random.default_rng(11)
         h, w = 37, 29
         points = rng.random((h, w)) < 0.55
-        params = FgParams()
-        got = fp(_frame(h, w), points, params)
-        want = _o_pipeline(points, h, w, params)
+        got = fp(_frame(h, w), points)
+        want = _o_pipeline(points, h, w)
         assert _as_boxes(got) == want
 
     def test_two_separated_blobs(self):
@@ -177,7 +182,7 @@ class TestAgainstOracle:
         points[4:12, 4:12] = True
         points[30:40, 32:44] = True
         got = fp(_frame(h, w), points)
-        want = _o_pipeline(points, h, w, FgParams())
+        want = _o_pipeline(points, h, w)
         assert _as_boxes(got) == want
         assert len(got) == 2
 
@@ -202,12 +207,26 @@ class TestCleanupStages:
         points[16, 2:30] = True
         assert len(fp(_frame(32, 32), points)) == 0
 
-    def test_small_component_filtered(self):
-        # min_component_pixels above any achievable blob size here
-        points = np.zeros((32, 32), dtype=bool)
-        points[8:14, 8:14] = True
-        params = FgParams(min_component_pixels=500)
-        assert len(fp(_frame(32, 32), points, params)) == 0
+    @given(st.integers(0, 2**32 - 1), st.integers(16, 39), st.integers(16, 39),
+           st.floats(0.0, 0.9))
+    @settings(max_examples=60, deadline=None)
+    def test_every_component_has_at_least_25_pixels(self, seed, h, w, density):
+        # why fp needs no minimum component size: the opening leaves whole
+        # 3x3 blocks and the dilation grows each to at least 5x5 in frame
+        rng = np.random.default_rng(seed)
+        points = rng.random((h, w)) < density
+        for _ in range(rng.integers(0, 6)):      # small blocks make small components
+            y, x = rng.integers(0, h), rng.integers(0, w)
+            points[y:y + rng.integers(2, 6), x:x + rng.integers(2, 6)] = True
+        cleaned = []
+        label = ndimage.label
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fgregion.ndimage, "label",
+                       lambda m, **kw: cleaned.append(m) or label(m, **kw))
+            fp(_frame(h, w), points)
+        labels, count = label(cleaned[0], structure=np.ones((3, 3), dtype=bool))
+        sizes = np.bincount(labels.ravel(), minlength=count + 1)[1:]
+        assert (sizes >= 25).all()
 
 
 class TestRegionSetProperties:
@@ -239,6 +258,25 @@ class TestRegionSetProperties:
     def test_overlapping_regions_rejected(self):
         with pytest.raises(ValueError):
             RegionSet((Region(0, 0, 16, 16), Region(8, 8, 16, 16)), 64, 64)
+
+    @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12),
+                              st.integers(1, 6), st.integers(1, 6)), max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_overlap_check_agrees_with_pairwise_oracle(self, boxes):
+        regions = tuple(Region(x, y, w, h) for x, y, w, h in boxes)
+        try:
+            RegionSet(regions, 18, 18)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == _o_disjoint(regions)
+
+    def test_overlap_check_is_fast_on_many_regions(self):
+        # 4096 disjoint 8x8 tiles; a pairwise check makes 8.4 M comparisons
+        tiles = tuple(Region(8 * (i % 64), 8 * (i // 64), 8, 8) for i in range(4096))
+        t0 = time.perf_counter()
+        RegionSet(tiles, 512, 512)
+        assert time.perf_counter() - t0 < 0.5
 
     def test_out_of_frame_region_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """End-to-end encoder/decoder behavior on synthetic sequences."""
 
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -84,6 +85,15 @@ class TestEncodeBasics:
         assert h.quality == QualityPoint(2.5, 3)
         assert (h.width, h.height) == (64, 64)
         assert h.frame_count == 24
+
+    @pytest.mark.parametrize("score,templates", [(0.97, 1), (0.9699, 24)])
+    def test_gate_compares_against_the_header_gamma(self, sq_video, monkeypatch,
+                                                    score, templates):
+        # gamma 0.970049 travels as 9700, so the gate admits below exactly 0.97
+        monkeypatch.setattr(pipeline, "ms_ssim", lambda a, b: score)
+        result = encode(sq_video, EncoderConfig(gamma=0.970049, **FAST))
+        assert result.stream.header.gamma_fp == 9700
+        assert len(result.stream.templates) == templates
 
     def test_too_few_frames_for_initialization(self, sq_video):
         with pytest.raises(FbvError, match="initialization"):
@@ -255,11 +265,14 @@ class TestBracket:
 
 
 class TestConfig:
+    def test_fields_are_the_knobs_callers_set(self):
+        assert [f.name for f in fields(EncoderConfig)] == [
+            "gamma", "delta_q", "levels", "learning_rate", "init_frames", "anchor_interval"]
+
     def test_gamma_bounds(self):
-        with pytest.raises(ValueError):
-            EncoderConfig(gamma=0.0)
-        with pytest.raises(ValueError):
-            EncoderConfig(gamma=1.0)
+        for gamma in (0.0, 1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                EncoderConfig(gamma=gamma)
         # the header carries round(gamma * 10^4), which must stay in (0, 10^4)
         for gamma in (0.00004, 0.99996):
             with pytest.raises(ValueError, match="precision"):
@@ -273,9 +286,9 @@ class TestConfig:
         with pytest.raises(ValueError):
             EncoderConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
-            EncoderConfig(majority_votes=10)
+            EncoderConfig(init_frames=0)
         with pytest.raises(ValueError):
-            EncoderConfig(feather_band=17)
+            EncoderConfig(anchor_interval=0)
 
     def test_quality_ladder(self):
         assert QUALITY_LADDER[1] == QualityPoint(8.0, 1)
