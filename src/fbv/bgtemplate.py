@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Frame, FbvError
-from .metrics import ms_ssim
 from .residual import QualityPoint, decode_residual, encode_residual
 
 TEMPLATE_QUALITY = QualityPoint(1.0, 6)
@@ -106,13 +105,11 @@ class TemplateChain:
     def current(self) -> BackgroundTemplate | None:
         return self.templates[-1] if self.templates else None
 
-    def admit(self, candidate: Frame, score: float | None = None) -> BackgroundTemplate | None:
-        """Gate the candidate (score: its MS-SSIM against the current template,
-        if already computed); append and return a new template if admitted."""
+    def admit(self, candidate: Frame, score: float) -> BackgroundTemplate | None:
+        """Gate the candidate by score, its MS-SSIM against the current template
+        (an empty chain admits any); append and return a new template if admitted."""
         cur = self.current
         if cur is not None:
-            if score is None:
-                score = ms_ssim(cur.image, candidate)
             if not score < self.gamma:
                 return None
             if candidate.frame_index <= cur.frame_index:

@@ -107,9 +107,6 @@ class Region:
         y1 = min(self.y, other.y)
         return Region(x1, y1, max(self.x2, other.x2) - x1, max(self.y2, other.y2) - y1)
 
-    def contains(self, other: "Region") -> bool:
-        return self.x <= other.x and self.y <= other.y and self.x2 >= other.x2 and self.y2 >= other.y2
-
 
 @dataclass(frozen=True)
 class VideoSequence:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import numpy as np
 from scipy import ndimage
@@ -48,9 +49,6 @@ class RegionSet:
             if r.x2 > self.width or r.y2 > self.height:
                 raise ValueError(f"region {r} exceeds {self.width}x{self.height}")
         _check_disjoint(self.regions)
-
-    def __len__(self) -> int:
-        return len(self.regions)
 
     @property
     def mask(self) -> np.ndarray:
@@ -103,21 +101,36 @@ def _snap(r: Region, height: int, width: int) -> Region:
     return Region(x1, y1, x2 - x1, y2 - y1)
 
 
+def _merge_pass(rects: list[Region]) -> list[Region]:
+    """One sweep down the rows: each rectangle absorbs the live boxes it
+    overlaps or touches. Live boxes' x-intervals stay sorted and apart, so
+    those a rectangle touches are a contiguous run around its insertion point."""
+    boxes: list[Region | None] = []             # None once absorbed
+    active: list[tuple[int, int, int]] = []     # (x, x2, box), sorted
+    leaving: list[tuple[int, int]] = []         # heap of (y2, box)
+    for r in sorted(rects, key=lambda r: r.y):
+        while leaving and leaving[0][0] < r.y:
+            b = heappop(leaving)[1]
+            if boxes[b] is not None:
+                del active[bisect_left(active, (boxes[b].x, boxes[b].x2, b))]
+        lo = hi = bisect_left(active, (r.x,))
+        while lo and active[lo - 1][1] >= r.x:
+            lo -= 1
+        while hi < len(active) and active[hi][0] <= r.x2:
+            hi += 1
+        for _, _, b in active[lo:hi]:
+            r, boxes[b] = r.union(boxes[b]), None
+        active[lo:hi] = [(r.x, r.x2, len(boxes))]
+        heappush(leaving, (r.y2, len(boxes)))
+        boxes.append(r)
+    return [b for b in boxes if b is not None]
+
+
 def _merge_transitive(rects: list[Region]) -> list[Region]:
-    rects = list(rects)
-    merged = True
-    while merged:
-        merged = False
-        out: list[Region] = []
-        for r in rects:
-            for i, q in enumerate(out):
-                if r.overlaps(q) or r.touches(q):
-                    out[i] = q.union(r)
-                    merged = True
-                    break
-            else:
-                out.append(r)
-        rects = out
+    """Merge overlapping or touching rectangles until no two touch. The result
+    is the finest such grouping, whatever order the merges happen in."""
+    while len(merged := _merge_pass(rects)) < len(rects):
+        rects = merged
     return sorted(rects, key=lambda r: (r.y, r.x))
 
 

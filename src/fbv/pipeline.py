@@ -23,25 +23,25 @@ twice yields byte-identical streams.
 
 The encoder's closed-loop reconstruction, the full decode and a single-frame
 seek assemble frames through the same helpers: _bracket picks the templates
-around a frame, _decode_templates decodes a template chain from an anchor,
-and _composites interpolates and composites. A seek (decode_frame) decodes
-only the templates from the nearest anchor at or before the bracket's first
-template through its second, and only the foreground run that ends at the
-frame.
+around a frame and _composites interpolates and composites. Both decode
+entry points share one Decoder per stream, which decodes each template once
+and keeps it while the stream lives; a seek (decode_frame) then replays only
+the foreground run that ends at the frame.
 """
 
 from __future__ import annotations
 
 import io
 import time
+import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .bgmodel import GmmParams, background_estimate, gmm_init, gmm_update
-from .bgtemplate import (ANCHOR_INTERVAL, DEFAULT_GAMMA, TemplateChain, decode_template,
-                         interpolated_background)
+from .bgtemplate import (ANCHOR_INTERVAL, DEFAULT_GAMMA, BackgroundTemplate, TemplateChain,
+                         decode_template, interpolated_background)
 from .container import (GAMMA_SCALE, ContainerError, FbvStream, ForegroundRecord,
                         StreamHeader, TemplateRecord, build_segments, budget_of,
                         foreground_payload, read_stream, template_payload, write_stream)
@@ -162,11 +162,6 @@ class DecodeResult:
     quality: QualityReport | None
     decode_total_s: float
 
-    @property
-    def decode_ms(self) -> float:
-        n = len(self.video.frames)
-        return 1000.0 * self.decode_total_s / n if n else 0.0
-
 
 def _zero_frame(h: int, w: int, index: int) -> Frame:
     return Frame(np.zeros((3, h, w), dtype=np.uint8), index)
@@ -231,7 +226,7 @@ def encode(video: VideoSequence, config: EncoderConfig = EncoderConfig()) -> Enc
     t0 = time.perf_counter()
     # gate against the gamma the header records, not the unrounded setting
     chain = TemplateChain(gamma=gamma_fp / GAMMA_SCALE, anchor_interval=config.anchor_interval)
-    chain.admit(Frame(background_estimate(state).planes, 0))
+    chain.admit(Frame(background_estimate(state).planes, 0), score=0.0)
     clock["background"] += time.perf_counter() - t0
 
     # pass two: code every frame with the trained state carried forward
@@ -279,8 +274,9 @@ def encode(video: VideoSequence, config: EncoderConfig = EncoderConfig()) -> Enc
     encode_total = time.perf_counter() - t_start
 
     # encoder-side reconstructions (pre-enhancement), for the closed-loop check
-    timgs = [bt.image for bt in chain.templates]
-    recon = tuple(c.image for c, _ in _composites(timgs, fg_recon, range(n)))
+    recon = tuple(c.image for c, _ in _composites(
+        [bt.frame_index for bt in chain.templates], lambda j: chain.templates[j].image,
+        fg_recon, range(n)))
 
     per_ms = lambda s: 1000.0 * s / n
     timing = TimingReport(
@@ -307,22 +303,10 @@ def _bracket(tframes, t: int) -> tuple[int, int]:
     return pos - 1, pos
 
 
-def _decode_templates(stream: FbvStream, records) -> list[Frame]:
-    """Template images of consecutive records, the first of them an anchor."""
-    h, w = stream.header.height, stream.header.width
-    prev = None
-    out = []
-    for tr in records:
-        prev = decode_template(None if tr.anchor else prev, tr.residual,
-                               tr.frame_no, h, w)
-        out.append(prev.image)
-    return out
-
-
-def _decode_foreground(stream: FbvStream, records) -> dict[int, tuple[RegionSet, Frame]]:
+def _decode_foreground(header: StreamHeader, records) -> dict[int, tuple[RegionSet, Frame]]:
     """Closed-loop foreground decode of consecutive records (a run prefix)."""
-    h, w = stream.header.height, stream.header.width
-    q = stream.header.quality
+    h, w = header.height, header.width
+    q = header.quality
     out: dict[int, tuple[RegionSet, Frame]] = {}
     prev_fg: Frame | None = None
     prev_no = None
@@ -340,14 +324,13 @@ def _decode_foreground(stream: FbvStream, records) -> dict[int, tuple[RegionSet,
     return out
 
 
-def _composites(timgs, fg_map, frame_nos):
-    """(composite, regions or None) per frame: the foreground of fg_map over
-    the background interpolated between the bracketing template images."""
-    tframes = [img.frame_index for img in timgs]
+def _composites(tframes, image, fg_map, frame_nos):
+    """(composite, regions or None) per frame: the foreground of fg_map over the
+    background interpolated between bracketing templates (image(j) at tframes[j])."""
     for t in frame_nos:
         i, k = _bracket(tframes, t)
         m, j = (tframes[k] - tframes[i], tframes[k] - t) if i != k else (1, 0)
-        bg = Frame(interpolated_background(timgs[i], timgs[k], m, j).planes, t)
+        bg = Frame(interpolated_background(image(i), image(k), m, j).planes, t)
         if t in fg_map:
             rs, fg = fg_map[t]
             yield composite(fg, bg, rs.mask), rs
@@ -361,15 +344,71 @@ def _output(comp: CompositeFrame, rs: RegionSet | None, enhance_output: bool) ->
     return enhance(comp, rs)
 
 
+class Decoder:
+    """Sequential and random access to one stream's records (not the stream).
+
+    Each template is decoded at most once and kept: one 3xHxW uint8 image per
+    template. One whose decode raised is not kept, so later uses raise again.
+    Foreground frames are not kept: a seek replays the run ending at its frame.
+    """
+
+    def __init__(self, stream: FbvStream) -> None:
+        self.header, self.templates = stream.header, stream.templates
+        self.foregrounds = stream.foregrounds
+        self.tframes = [tr.frame_no for tr in stream.templates]
+        self.fg_index = {r.frame_no: i for i, r in enumerate(stream.foregrounds)}
+        # a run's frame numbers are consecutive, so frame_no - index is constant on it
+        self.run_keys = [r.frame_no - i for i, r in enumerate(stream.foregrounds)]
+        self._decoded: dict[int, BackgroundTemplate] = {}
+
+    def template(self, j: int) -> Frame:
+        """Template j's image, decoded on first use."""
+        first = j
+        while first not in self._decoded and not self.templates[first].anchor:
+            first -= 1
+        h, w = self.header.height, self.header.width
+        for i in range(first, j + 1):
+            if i not in self._decoded:
+                tr = self.templates[i]
+                prev = None if tr.anchor else self._decoded[i - 1]
+                self._decoded[i] = decode_template(prev, tr.residual, tr.frame_no, h, w)
+        return self._decoded[j].image
+
+    def frames(self, enhance_output: bool) -> tuple[list[Frame], list[Frame]]:
+        fg_map = _decode_foreground(self.header, self.foregrounds)
+        # composite every frame before enhancing any: interleaving the two raised peak RSS
+        comps = list(_composites(self.tframes, self.template, fg_map,
+                                 range(self.header.frame_count)))
+        pre = [c.image for c, _ in comps]
+        return pre, [_output(c, rs, enhance_output) for c, rs in comps]
+
+    def frame(self, frame_no: int, enhance_output: bool) -> Frame:
+        n = self.header.frame_count
+        if not 0 <= frame_no < n:
+            raise ContainerError(f"frame {frame_no} out of range 0..{n - 1}")
+        i = self.fg_index.get(frame_no)
+        run = () if i is None else \
+            self.foregrounds[bisect_left(self.run_keys, self.run_keys[i]):i + 1]
+        fg_map = _decode_foreground(self.header, run)
+        (comp, rs), = _composites(self.tframes, self.template, fg_map, [frame_no])
+        return _output(comp, rs, enhance_output)
+
+
+_DECODERS: dict[int, Decoder] = {}      # id(stream) -> its Decoder, while the stream lives
+
+
+def _decoder(stream: FbvStream) -> Decoder:
+    dec = _DECODERS.get(id(stream))
+    if dec is None:
+        dec = _DECODERS[id(stream)] = Decoder(stream)
+        weakref.finalize(stream, _DECODERS.pop, id(stream), None)
+    return dec
+
+
 def decode_stream(stream: FbvStream,
                   enhance_output: bool = True) -> tuple[list[Frame], list[Frame]]:
     """Full-sequence decode. Returns (pre-enhancement, output) frame lists."""
-    timgs = _decode_templates(stream, stream.templates)
-    fg_map = _decode_foreground(stream, stream.foregrounds)
-    # composite every frame before enhancing any: interleaving the two raised peak RSS
-    comps = list(_composites(timgs, fg_map, range(stream.header.frame_count)))
-    pre = [c.image for c, _ in comps]
-    return pre, [_output(c, rs, enhance_output) for c, rs in comps]
+    return _decoder(stream).frames(enhance_output)
 
 
 def decode_bytes(data: bytes, enhance_output: bool = True,
@@ -390,25 +429,9 @@ def decode_bytes(data: bytes, enhance_output: bool = True,
 
 
 def decode_frame(stream: FbvStream, frame_no: int, enhance_output: bool = True) -> Frame:
-    """Random access: decode one frame, bit-identical to the sequential path."""
-    n = stream.header.frame_count
-    if not 0 <= frame_no < n:
-        raise ContainerError(f"frame {frame_no} out of range 0..{n - 1}")
-    ts = stream.templates
-    i, k = _bracket([tr.frame_no for tr in ts], frame_no)
-    a = i
-    while not ts[a].anchor:
-        a -= 1
-    timgs = _decode_templates(stream, ts[a:k + 1])
-    fg_frames = [r.frame_no for r in stream.foregrounds]
-    end = bisect_right(fg_frames, frame_no)
-    run = ()
-    if end and fg_frames[end - 1] == frame_no:
-        # a run's frame numbers are consecutive, so frame_no - index is constant on it
-        lag = [f - idx for idx, f in enumerate(fg_frames)]
-        run = stream.foregrounds[bisect_left(lag, lag[end - 1]):end]
-    (comp, rs), = _composites(timgs, _decode_foreground(stream, run), [frame_no])
-    return _output(comp, rs, enhance_output)
+    """Random access: decode one frame, bit-identical to the sequential path.
+    The stream's templates are decoded once and kept while the stream lives."""
+    return _decoder(stream).frame(frame_no, enhance_output)
 
 
 def _masked(planes: np.ndarray, mask: np.ndarray) -> np.ndarray:

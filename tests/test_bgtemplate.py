@@ -11,6 +11,7 @@ from fbv.bgtemplate import (ANCHOR_VALUE, TemplateChain, decode_template,
                             encode_template, interpolated_background)
 from fbv.container import FbvStream, StreamHeader, build_segments, write_stream
 from fbv.core import FbvError, Frame
+from fbv.metrics import ms_ssim
 from fbv.pipeline import _bracket
 
 from conftest import smooth_texture
@@ -23,6 +24,13 @@ def _frame(planes, index=0):
 def _shift(frame, amount, index):
     planes = np.clip(frame.planes.astype(np.int64) + amount, 0, 255)
     return _frame(planes, index)
+
+
+def _gate(chain, candidate):
+    """chain.admit with the score encode passes: MS-SSIM against the current
+    template (an empty chain admits whatever the score)."""
+    score = ms_ssim(chain.current.image, candidate) if chain.current else 0.0
+    return chain.admit(candidate, score)
 
 
 @pytest.fixture(scope="module")
@@ -124,8 +132,8 @@ class TestGate:
     @staticmethod
     def _admit(current, candidate):
         chain = TemplateChain()
-        chain.admit(current)
-        return chain.admit(candidate)
+        _gate(chain, current)
+        return _gate(chain, candidate)
 
     def test_identical_image_never_updates(self, textured):
         assert self._admit(textured, _frame(textured.planes, 1)) is None
@@ -155,14 +163,14 @@ class TestChain:
     def test_first_candidate_always_admitted_as_anchor(self, textured):
         chain = TemplateChain()
         assert chain.current is None
-        t = chain.admit(textured)
+        t = _gate(chain, textured)
         assert t is not None and t.anchor
         assert chain.current is t
 
     def test_gate_blocks_unchanged_candidate(self, textured):
         chain = TemplateChain()
-        chain.admit(textured)
-        assert chain.admit(_frame(textured.planes, 5)) is None
+        _gate(chain, textured)
+        assert _gate(chain, _frame(textured.planes, 5)) is None
         assert len(chain.templates) == 1
 
     def test_anchor_cadence(self, textured):
@@ -172,22 +180,22 @@ class TestChain:
             frames.append(_shift(textured, 40 * i * (-1) ** i, i * 10))
         flags = []
         for f in frames:
-            t = chain.admit(f)
+            t = _gate(chain, f)
             assert t is not None
             flags.append(t.anchor)
         assert flags == [True, False, True, False]
 
     def test_stale_frame_index_rejected(self, textured):
         chain = TemplateChain()
-        chain.admit(_frame(textured.planes, 10))
+        _gate(chain, _frame(textured.planes, 10))
         with pytest.raises(FbvError):
-            chain.admit(_shift(textured, 40, 10))
+            _gate(chain, _shift(textured, 40, 10))
 
     def test_bracket_spec(self, textured):
         chain = TemplateChain()
-        t0 = chain.admit(_frame(textured.planes, 0))
-        t1 = chain.admit(_shift(textured, 40, 10))
-        t2 = chain.admit(_shift(textured, 80, 25))
+        t0 = _gate(chain, _frame(textured.planes, 0))
+        t1 = _gate(chain, _shift(textured, 40, 10))
+        t2 = _gate(chain, _shift(textured, 80, 25))
         tframes = [t.frame_index for t in chain.templates]
 
         def bracket(t):

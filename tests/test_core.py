@@ -60,10 +60,6 @@ class TestRegion:
         assert a.union(b) == Region(0, 0, 16, 8)
         assert a.union(c) == Region(0, 0, 12, 12)
 
-    def test_contains(self):
-        assert Region(0, 0, 16, 16).contains(Region(4, 4, 8, 8))
-        assert not Region(0, 0, 16, 16).contains(Region(12, 0, 8, 8))
-
 
 class TestRounding:
     def test_half_up_on_halves(self):

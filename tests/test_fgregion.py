@@ -184,7 +184,7 @@ class TestAgainstOracle:
         got = fp(_frame(h, w), points)
         want = _o_pipeline(points, h, w)
         assert _as_boxes(got) == want
-        assert len(got) == 2
+        assert len(got.regions) == 2
 
 
 class TestCleanupStages:
@@ -192,20 +192,19 @@ class TestCleanupStages:
         points = np.zeros((32, 32), dtype=bool)
         points[10, 10] = True
         points[20, 5] = True
-        assert len(fp(_frame(32, 32), points)) == 0
+        assert fp(_frame(32, 32), points).regions == ()
 
     def test_solid_blob_survives_and_expands(self):
         points = np.zeros((32, 32), dtype=bool)
         points[10:18, 10:18] = True
         rs = fp(_frame(32, 32), points)
-        assert len(rs) == 1
-        # majority trims one ring, dilation adds two back, snap to grid
-        assert rs.regions[0].contains(Region(10, 10, 8, 8))
+        # majority trims the corners, dilation adds two rings, snap to grid
+        assert rs.regions == (Region(8, 8, 16, 16),)
 
     def test_thin_line_erased_by_opening(self):
         points = np.zeros((32, 32), dtype=bool)
         points[16, 2:30] = True
-        assert len(fp(_frame(32, 32), points)) == 0
+        assert fp(_frame(32, 32), points).regions == ()
 
     @given(st.integers(0, 2**32 - 1), st.integers(16, 39), st.integers(16, 39),
            st.floats(0.0, 0.9))
@@ -312,3 +311,40 @@ class TestCombine:
         b = RegionSet((), 32, 32)
         with pytest.raises(ValueError):
             combine_regions(a, b)
+
+
+def _o_merge_transitive(rects):
+    """The pairwise merge that preceded the sweep: repeated passes, each one
+    comparing every rectangle with every kept one."""
+    rects = list(rects)
+    merged = True
+    while merged:
+        merged = False
+        out = []
+        for r in rects:
+            for i, q in enumerate(out):
+                if r.overlaps(q) or r.touches(q):
+                    out[i] = q.union(r)
+                    merged = True
+                    break
+            else:
+                out.append(r)
+        rects = out
+    return sorted(rects, key=lambda r: (r.y, r.x))
+
+
+class TestMergeTransitive:
+    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40),
+                              st.integers(1, 12), st.integers(1, 12)), max_size=30))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_pairwise_oracle(self, boxes):
+        rects = [Region(x, y, w, h) for x, y, w, h in boxes]
+        assert fgregion._merge_transitive(rects) == _o_merge_transitive(rects)
+
+    def test_fast_on_many_regions(self):
+        # 2048 disjoint 8x8 tiles, 8 pixels apart: nothing merges
+        tiles = [Region(16 * (i % 64), 16 * (i // 64), 8, 8) for i in range(2048)]
+        t0 = time.perf_counter()
+        out = fgregion._merge_transitive(tiles)
+        assert time.perf_counter() - t0 < 0.1
+        assert out == sorted(tiles, key=lambda r: (r.y, r.x))

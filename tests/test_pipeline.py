@@ -1,16 +1,19 @@
 """End-to-end encoder/decoder behavior on synthetic sequences."""
 
+import gc
 import struct
-from dataclasses import fields
+import weakref
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from fbv import bgtemplate, pipeline
+from fbv import pipeline
 from fbv.bgtemplate import encode_template, interpolated_background
 from fbv.container import (ContainerError, FbvStream, StreamHeader, TemplateRecord,
                            budget_of, build_segments, read_stream, write_stream)
 from fbv.core import FbvError, Frame, VideoSequence
+from fbv.entropy import EntropyDecodeError
 from fbv.metrics import ms_ssim
 from fbv.pipeline import (QUALITY_LADDER, EncoderConfig, TimingReport,
                           analyze_bytes, decode_bytes, decode_frame,
@@ -120,7 +123,6 @@ class TestEncodeOnlyEncodes:
             return ms_ssim(a, b)
 
         monkeypatch.setattr(pipeline, "ms_ssim", counted)
-        monkeypatch.setattr(bgtemplate, "ms_ssim", counted)
         result = encode(video, EncoderConfig(learning_rate=0.2, **FAST))
         assert len(result.stream.templates) >= 3      # the anchor plus two
         assert len(calls) == len(video.frames)
@@ -218,8 +220,71 @@ class TestRandomAccess:
         decode_frame(stream, (t1 + t2) // 2)
         assert calls == [t0, t1, t2]
         calls.clear()
-        decode_frame(stream, t2)
+        decode_frame(read_stream(step_result.data), t2)
         assert calls == [t2]
+        calls.clear()
+        decode_frame(stream, t2)
+        assert calls == []
+
+
+class TestTemplateCache:
+    """decode_frame decodes each template once per open stream and keeps it."""
+
+    def test_warm_bracket_decodes_nothing(self, step_result, monkeypatch):
+        stream = read_stream(step_result.data)
+        _, t1, t2 = (t.frame_no for t in stream.templates)
+        decode_frame(stream, (t1 + t2) // 2)
+        calls = _counting_template_decodes(monkeypatch)
+        for t in range(t1, t2 + 1):
+            decode_frame(stream, t)
+        assert calls == []
+
+    def test_any_seek_order_matches_sequential(self, step_result):
+        n = step_result.stream.header.frame_count
+        shuffled = np.random.default_rng(11).permutation(n).tolist()
+        for enh in (False, True):
+            _, seq = decode_stream(read_stream(step_result.data), enhance_output=enh)
+            for order in (range(n - 1, -1, -1), shuffled):
+                stream = read_stream(step_result.data)
+                for t in order:
+                    got = decode_frame(stream, t, enhance_output=enh)
+                    assert np.array_equal(got.planes, seq[t].planes), (enh, t)
+
+    def test_entry_freed_with_the_stream(self, step_result):
+        stream = read_stream(step_result.data)
+        decode_frame(stream, 0)
+        key, ref = id(stream), weakref.ref(stream)
+        assert key in pipeline._DECODERS
+        del stream
+        gc.collect()
+        assert ref() is None
+        assert key not in pipeline._DECODERS
+
+    def test_failed_template_is_not_kept(self, step_result, monkeypatch):
+        good = read_stream(step_result.data)
+        first, second, third = good.templates
+        assert second.residual and third.anchor
+        bad = replace(good, templates=(first, replace(second, residual=b"\x00"), third))
+        stream = read_stream(write_stream(bad))
+        calls = _counting_template_decodes(monkeypatch)
+        for _ in range(2):
+            calls.clear()
+            with pytest.raises(EntropyDecodeError):
+                decode_frame(stream, (first.frame_no + second.frame_no) // 2)
+            assert calls[-1] == second.frame_no
+        # frames bracketed by the first template alone, or by the later anchor, still decode
+        for t in (first.frame_no, third.frame_no, good.header.frame_count - 1):
+            assert np.array_equal(decode_frame(stream, t).planes, decode_frame(good, t).planes)
+
+    def test_seeks_decode_each_template_at_most_once(self, step_result, monkeypatch):
+        stream = read_stream(step_result.data)
+        assert len(stream.templates) > 2
+        n = stream.header.frame_count
+        calls = _counting_template_decodes(monkeypatch)
+        for t in np.random.default_rng(3).integers(0, n, 34).tolist():
+            decode_frame(stream, t)
+        assert len(calls) <= len(stream.templates)
+        assert sorted(calls) == sorted(set(calls))
 
 
 def _bracket_stream():
