@@ -18,14 +18,14 @@ from .core import (ConfigError, FbvError, Frame, Region, VideoFormatError, Video
 from .decode import CompositeFrame, composite, enhance
 from .entropy import (BitBudgetReport, ContextModel, EntropyDecodeError,
                       RangeDecoder, RangeEncoder)
+from .evaluate import (QualityReport, RdPoint, quality_csv, rd_sweep, score,
+                       summary_json, sweep_csv)
 from .fgregion import RegionSet, combine_regions, fp
-from .metrics import (QualityReport, bpp, fb_mixture, laplacian_sharpness,
-                      ms_ssim, psnr, rd_objective)
+from .metrics import bpp, fb_mixture, laplacian_sharpness, ms_ssim, psnr
 from .motion import FlowField, decode_flow, encode_flow, estimate_flow, warp
 from .pipeline import (QUALITY_LADDER, AnalyzeReport, DecodeResult,
-                       EncodeResult, EncoderConfig, RdPoint, TimingReport,
-                       analyze_bytes, decode_bytes, decode_frame, decode_stream,
-                       encode, ladder_point, rd_sweep, sweep_csv)
+                       EncodeResult, EncoderConfig, TimingReport, analyze_bytes,
+                       decode_bytes, decode_frame, decode_stream, encode, ladder_point)
 from .residual import (QualityPoint, decode_residual, encode_residual, quantize,
                        reconstruct_foreground)
 

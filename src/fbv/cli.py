@@ -1,10 +1,10 @@
 """Command-line surface: encode, decode, analyze, rd-sweep.
 
-Exit codes: 0 success, 2 usage or configuration error (a setting that does
-not fit the input included), 3 malformed input (video or container format),
-4 file I/O failure. Every EncoderConfig field is reachable both as a --flag
-and as a key in the flat key=value config file; explicit flags override the
-file, which overrides defaults.
+Exit codes: 0 success, 2 usage or configuration error (a setting or a
+reference that does not fit the input included), 3 malformed input (video or
+container format), 4 file I/O failure. Every EncoderConfig field is reachable
+both as a --flag and as a key in the flat key=value config file; explicit
+flags override the file, which overrides defaults.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ from dataclasses import fields
 
 from .core import FbvError, read_y4m, write_y4m
 from .entropy import EntropyDecodeError
-from .metrics import bpp, quality_csv, summary_json
-from .pipeline import (QUALITY_LADDER, EncoderConfig, analyze_bytes,
-                       decode_bytes, encode, ladder_point, rd_sweep, sweep_csv)
+from .evaluate import quality_csv, rd_sweep, score, summary_json, sweep_csv
+from .metrics import bpp
+from .pipeline import (QUALITY_LADDER, EncoderConfig, analyze_bytes, decode_bytes,
+                       encode, ladder_point)
 from .residual import QualityPoint
 
 EXIT_OK = 0
@@ -96,13 +97,13 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     with open(args.input, "rb") as fh:
         data = fh.read()
     reference = read_y4m(args.reference) if args.reference else None
-    result = decode_bytes(data, enhance_output=not args.no_enhance,
-                          reference=reference)
+    result = decode_bytes(data, enhance_output=not args.no_enhance)
+    # score before writing, so a reference that does not fit leaves no output
+    q = score(reference, data, result.video) if reference is not None else None
     write_y4m(result.video, args.output, force_444=True)
     print(f"wrote {args.output}: {len(result.video.frames)} frames "
           f"({result.decode_total_s:.3f} s)")
-    if result.quality is not None:
-        q = result.quality
+    if q is not None:
         print(f"psnr {q.psnr_mean:.2f} dB  ms-ssim {q.ms_ssim_mean:.6f}  "
               f"fb-mixture {q.fb_mixture:.6f}")
         print(summary_json(q))

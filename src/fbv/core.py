@@ -10,8 +10,7 @@ from __future__ import annotations
 import io
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import BinaryIO, Iterable
+from typing import BinaryIO
 
 import numpy as np
 
@@ -23,7 +22,7 @@ class FbvError(Exception):
 
 
 class ConfigError(FbvError, ValueError):
-    """An encoder setting that does not fit the input."""
+    """A setting or a reference video that does not fit the input."""
 
 
 class VideoFormatError(FbvError):
@@ -90,17 +89,9 @@ class Region:
     def y2(self) -> int:  # exclusive
         return self.y + self.h
 
-    @property
-    def area(self) -> int:
-        return self.w * self.h
-
     def overlaps(self, other: "Region") -> bool:
         """Strict interior overlap."""
         return self.x < other.x2 and other.x < self.x2 and self.y < other.y2 and other.y < self.y2
-
-    def touches(self, other: "Region") -> bool:
-        """Overlapping or edge/corner adjacent (closed-interval intersection)."""
-        return self.x <= other.x2 and other.x <= self.x2 and self.y <= other.y2 and other.y <= self.y2
 
     def union(self, other: "Region") -> "Region":
         x1 = min(self.x, other.x)
@@ -133,16 +124,6 @@ class VideoSequence:
     @property
     def height(self) -> int:
         return self.frames[0].height
-
-    @property
-    def fps(self) -> Fraction:
-        return Fraction(self.fps_num, self.fps_den)
-
-    def __len__(self) -> int:
-        return len(self.frames)
-
-    def __iter__(self) -> Iterable[Frame]:
-        return iter(self.frames)
 
 
 def _upsample_420(chroma: np.ndarray) -> np.ndarray:

@@ -57,10 +57,6 @@ class RegionSet:
             m[r.y:r.y2, r.x:r.x2] = True
         return m
 
-    @property
-    def area(self) -> int:
-        return sum(r.area for r in self.regions)
-
 
 def _check_disjoint(regions: tuple[Region, ...]) -> None:
     """Raise ValueError if two rectangles overlap, in O(n log n) comparisons:

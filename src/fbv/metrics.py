@@ -1,4 +1,4 @@
-"""Quality and rate metrics: PSNR, MS-SSIM, sharpness, bpp, rate-distortion.
+"""Per-image quality and rate metrics: PSNR, MS-SSIM, the fg/bg mixture, sharpness, bpp.
 
 PSNR is computed over all three channels and capped at 99 dB for identical
 inputs. MS-SSIM runs on luma with the standard 5-scale exponents, an 11x11
@@ -12,15 +12,11 @@ sensitivity to notice brightness changes of a few dozen codes.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.ndimage import correlate1d
 from scipy.signal import convolve2d
 
 from .core import Frame
-from .entropy import BitBudgetReport
 
 PSNR_CAP_DB = 99.0
 
@@ -132,82 +128,8 @@ def laplacian_sharpness(frame) -> float:
     return float(np.var(resp))
 
 
-def _mse(a: np.ndarray, b: np.ndarray) -> float:
-    d = a.astype(np.float64) - b.astype(np.float64)
-    return float(np.mean(d * d))
-
-
-def rd_objective(x, x_hat, f, f_hat, bits: BitBudgetReport,
-                 alpha: float = 1.0, beta: float = 16.0, theta: float = 0.1,
-                 mask: np.ndarray | None = None) -> float:
-    """alpha*MSE(frame) + beta*MSE(foreground) + theta*(fg motion + residual bits).
-
-    The foreground error is averaged over mask pixels only when a mask is
-    given; an empty mask contributes zero.
-    """
-    px, pxh = _as_planes(x), _as_planes(x_hat)
-    pf, pfh = _as_planes(f), _as_planes(f_hat)
-    if px.shape != pxh.shape or pf.shape != pfh.shape:
-        raise ValueError("geometry mismatch")
-    full_term = _mse(px, pxh)
-    if mask is None:
-        fg_term = _mse(pf, pfh)
-    elif not mask.any():
-        fg_term = 0.0
-    else:
-        fg_term = _mse(pf[:, mask], pfh[:, mask])
-    rate_term = float(bits.bits_fg_motion + bits.bits_fg_residual)
-    return alpha * full_term + beta * fg_term + theta * rate_term
-
-
 def bpp(total_bytes: int, width: int, height: int, frame_count: int) -> float:
     """8 * container bytes (headers and indexes included) per pixel per frame."""
     if frame_count <= 0:
         raise ValueError("frame_count must be positive")
     return 8.0 * total_bytes / (width * height * frame_count)
-
-
-@dataclass(frozen=True)
-class QualityReport:
-    """Per-sequence quality summary produced by the encoder or analyzer."""
-
-    psnr_per_frame: tuple[float, ...]
-    ms_ssim_per_frame: tuple[float, ...]
-    bpp: float
-    fb_mixture: float
-    sharpness: float
-    rd_objective: float
-
-    @property
-    def psnr_mean(self) -> float:
-        return float(np.mean(self.psnr_per_frame)) if self.psnr_per_frame else 0.0
-
-    @property
-    def ms_ssim_mean(self) -> float:
-        return float(np.mean(self.ms_ssim_per_frame)) if self.ms_ssim_per_frame else 0.0
-
-
-def quality_csv(report: QualityReport) -> str:
-    """One row per frame plus summary rows; the CLI report file format."""
-    lines = ["frame,psnr_db,ms_ssim"]
-    for t, (p, s) in enumerate(zip(report.psnr_per_frame,
-                                   report.ms_ssim_per_frame)):
-        lines.append(f"{t},{p:.4f},{s:.6f}")
-    lines.append(f"summary,bpp,{report.bpp:.6f}")
-    lines.append(f"summary,fb_mixture,{report.fb_mixture:.6f}")
-    lines.append(f"summary,sharpness,{report.sharpness:.4f}")
-    lines.append(f"summary,rd_objective,{report.rd_objective:.4f}")
-    return "\n".join(lines) + "\n"
-
-
-def summary_json(report: QualityReport) -> str:
-    """Single-line JSON of the sequence-level numbers."""
-    return json.dumps({
-        "frames": len(report.psnr_per_frame),
-        "psnr_db": round(report.psnr_mean, 4),
-        "ms_ssim": round(report.ms_ssim_mean, 6),
-        "bpp": round(report.bpp, 6),
-        "fb_mixture": round(report.fb_mixture, 6),
-        "sharpness": round(report.sharpness, 4),
-        "rd_objective": round(report.rd_objective, 4),
-    })

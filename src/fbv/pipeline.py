@@ -35,7 +35,7 @@ import io
 import time
 import weakref
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,12 +45,11 @@ from .bgtemplate import (ANCHOR_INTERVAL, DEFAULT_GAMMA, BackgroundTemplate, Tem
 from .container import (GAMMA_SCALE, ContainerError, FbvStream, ForegroundRecord,
                         StreamHeader, TemplateRecord, build_segments, budget_of,
                         foreground_payload, read_stream, template_payload, write_stream)
-from .core import ConfigError, FbvError, Frame, VideoSequence
+from .core import ConfigError, Frame, VideoSequence
 from .decode import CompositeFrame, composite, enhance
 from .entropy import BitBudgetReport
 from .fgregion import RegionSet, combine_regions, fp
-from .metrics import (QualityReport, bpp, fb_mixture, laplacian_sharpness,
-                      ms_ssim, psnr, rd_objective)
+from .metrics import bpp, ms_ssim
 from .motion import decode_flow, encode_flow, estimate_flow, warp
 from .residual import QualityPoint, decode_residual, encode_residual, \
     reconstruct_foreground
@@ -105,11 +104,6 @@ class EncoderConfig:
     def gmm_params(self) -> GmmParams:
         return GmmParams(learning_rate=self.learning_rate, init_frames=self.init_frames)
 
-    @classmethod
-    def from_quality(cls, point: int, **overrides) -> "EncoderConfig":
-        q = ladder_point(point)
-        return cls(delta_q=q.delta_q, levels=q.levels, **overrides)
-
 
 @dataclass(frozen=True)
 class TimingReport:
@@ -159,7 +153,6 @@ class EncodeResult:
 class DecodeResult:
     video: VideoSequence
     pre_enhance: tuple[Frame, ...]
-    quality: QualityReport | None
     decode_total_s: float
 
 
@@ -204,7 +197,7 @@ def _assemble_foreground(warped: Frame, decoded_patches, used: RegionSet,
 def encode(video: VideoSequence, config: EncoderConfig = EncoderConfig()) -> EncodeResult:
     """Compress a sequence into a container plus reports; fully deterministic.
 
-    Quality is scored by decode_bytes(result.data, reference=video).
+    Quality is scored by fbv.evaluate.score on decode_bytes(result.data).
     """
     frames = video.frames
     n = len(frames)
@@ -411,78 +404,20 @@ def decode_stream(stream: FbvStream,
     return _decoder(stream).frames(enhance_output)
 
 
-def decode_bytes(data: bytes, enhance_output: bool = True,
-                 reference: VideoSequence | None = None) -> DecodeResult:
-    """Decode a container; optionally score the output against a reference."""
+def decode_bytes(data: bytes, enhance_output: bool = True) -> DecodeResult:
+    """Decode a container; fbv.evaluate.score measures the output."""
     t0 = time.perf_counter()
     stream = read_stream(data)
     pre, out = decode_stream(stream, enhance_output)
     total = time.perf_counter() - t0
     video = VideoSequence(tuple(out), stream.header.fps_num, stream.header.fps_den)
-    quality = None
-    if reference is not None:
-        if len(reference.frames) != len(out):
-            raise FbvError("reference frame count does not match stream")
-        quality = _quality_report(reference, out, stream, len(data))
-    return DecodeResult(video=video, pre_enhance=tuple(pre), quality=quality,
-                        decode_total_s=total)
+    return DecodeResult(video=video, pre_enhance=tuple(pre), decode_total_s=total)
 
 
 def decode_frame(stream: FbvStream, frame_no: int, enhance_output: bool = True) -> Frame:
     """Random access: decode one frame, bit-identical to the sequential path.
     The stream's templates are decoded once and kept while the stream lives."""
     return _decoder(stream).frame(frame_no, enhance_output)
-
-
-def _masked(planes: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    return np.where(mask[None], planes, 0)
-
-
-def _quality_report(source: VideoSequence, decoded, stream: FbvStream,
-                    total_bytes: int) -> QualityReport:
-    """Score decoded output against the source, including the mixture metric.
-
-    The foreground score averages luma MS-SSIM over frames with regions,
-    computed with off-mask pixels blanked in both images; the background
-    score blanks the mask instead. Their mixture uses the cross-weighting
-    rule with the mean mask fraction as the foreground area ratio. A stream
-    with no foreground reports the background score alone.
-    """
-    h, w = stream.header.height, stream.header.width
-    masks = {f.frame_no: RegionSet(f.regions, h, w).mask
-             for f in stream.foregrounds}
-    fg_bits = {f.frame_no: (8 * len(f.flow), 8 * len(f.residual))
-               for f in stream.foregrounds}
-    psnr_pf, ssim_pf = [], []
-    m_f, m_b, sharp, rd = [], [], [], []
-    area = 0.0
-    for t, (src, rec) in enumerate(zip(source.frames, decoded)):
-        psnr_pf.append(psnr(src, rec))
-        ssim_pf.append(ms_ssim(src, rec))
-        sharp.append(laplacian_sharpness(rec))
-        mask = masks.get(t)
-        if mask is not None:
-            area += mask.mean()
-            m_f.append(ms_ssim(_masked(src.planes, mask), _masked(rec.planes, mask)))
-            m_b.append(ms_ssim(_masked(src.planes, ~mask), _masked(rec.planes, ~mask)))
-            motion_bits, res_bits = fg_bits[t]
-        else:
-            m_b.append(ssim_pf[-1])
-            motion_bits = res_bits = 0
-        frame_bits = BitBudgetReport(0, res_bits, motion_bits)
-        fg_mask = mask if mask is not None else np.zeros((h, w), dtype=bool)
-        rd.append(rd_objective(src, rec, src, rec, frame_bits, mask=fg_mask))
-    n = len(decoded)
-    r_f = area / n
-    mb = float(np.mean(m_b))
-    if m_f:
-        mix = fb_mixture(float(np.mean(m_f)), mb, r_f, 1.0 - r_f)
-    else:
-        mix = mb
-    return QualityReport(
-        psnr_per_frame=tuple(psnr_pf), ms_ssim_per_frame=tuple(ssim_pf),
-        bpp=bpp(total_bytes, w, h, n), fb_mixture=mix,
-        sharpness=float(np.mean(sharp)), rd_objective=float(np.mean(rd)))
 
 
 @dataclass(frozen=True)
@@ -530,37 +465,3 @@ def analyze_bytes(data: bytes) -> AnalyzeReport:
     p(f"  FMV foreground motion    {budget.bits_fg_motion:10d} bits  {fmv:7.4f}")
     p(f"bpp: {rate:.6f}")
     return AnalyzeReport(out.getvalue(), budget, rate)
-
-
-@dataclass(frozen=True)
-class RdPoint:
-    delta_q: float
-    levels: int
-    bpp: float
-    psnr_db: float
-    ms_ssim: float
-    fb_mixture: float
-
-
-def rd_sweep(video: VideoSequence, points,
-             config: EncoderConfig = EncoderConfig()) -> list[RdPoint]:
-    """Encode/decode/measure once per quality point (needs at least two)."""
-    resolved = [pt if isinstance(pt, QualityPoint) else ladder_point(pt) for pt in points]
-    if len(resolved) < 2:
-        raise ValueError("a sweep needs at least two quality points")
-    rows = []
-    for q in resolved:
-        cfg = replace(config, delta_q=q.delta_q, levels=q.levels)
-        data = encode(video, cfg).data
-        score = decode_bytes(data, reference=video).quality
-        rows.append(RdPoint(q.delta_q, q.levels, score.bpp, score.psnr_mean,
-                            score.ms_ssim_mean, score.fb_mixture))
-    return rows
-
-
-def sweep_csv(rows) -> str:
-    out = ["delta_q,levels,bpp,psnr_db,ms_ssim,fb_mixture"]
-    for r in rows:
-        out.append(f"{r.delta_q:g},{r.levels},{r.bpp:.6f},{r.psnr_db:.4f},"
-                   f"{r.ms_ssim:.6f},{r.fb_mixture:.6f}")
-    return "\n".join(out) + "\n"

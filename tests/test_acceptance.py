@@ -15,7 +15,8 @@ from fbv.entropy import ContextModel, decode_bits, encode_bits
 from fbv.fgregion import Region, RegionSet
 from fbv.metrics import bpp, fb_mixture, laplacian_sharpness, ms_ssim, psnr
 from fbv.motion import estimate_flow, warp
-from fbv.pipeline import EncoderConfig, decode_bytes, encode, rd_sweep
+from fbv.evaluate import rd_sweep
+from fbv.pipeline import EncoderConfig, decode_bytes, encode
 from fbv.residual import encode_residual, quantize
 
 from conftest import (gradient_background, moving_square_video, paint_square,

@@ -103,7 +103,7 @@ class TestDecode:
         data_rows = [l for l in lines[1:] if not l.startswith("summary")]
         summary_rows = [l for l in lines[1:] if l.startswith("summary")]
         assert len(data_rows) == 16
-        assert len(summary_rows) == 4
+        assert len(summary_rows) == 3
         assert float(data_rows[0].split(",")[1]) > 20.0
 
     def test_no_enhance_changes_output(self, work):
@@ -117,6 +117,16 @@ class TestDecode:
         b = read_y4m(str(nice))
         assert any(not np.array_equal(x.planes, y.planes)
                    for x, y in zip(a.frames, b.frames))
+
+    @pytest.mark.parametrize("frames,size", [(10, 48), (16, 32)])
+    def test_reference_that_does_not_fit_is_a_usage_error(self, work, tmp_path,
+                                                           frames, size):
+        _, _, fbv = work
+        ref, out = tmp_path / "ref.y4m", tmp_path / "out.y4m"
+        write_y4m(moving_square_video(h=size, w=size, n=frames), str(ref), force_444=True)
+        rc = main(["decode", "-i", str(fbv), "-o", str(out), "--reference", str(ref)])
+        assert rc == EXIT_USAGE
+        assert not out.exists()
 
     def test_report_requires_reference(self, work):
         d, _, fbv = work

@@ -245,14 +245,13 @@ class TestRegionSetProperties:
             assert r.y % 8 == 0 or r.y2 == h
         for i, a in enumerate(rs.regions):
             for b in rs.regions[i + 1:]:
-                assert not a.overlaps(b)
-                assert not a.touches(b)
+                assert not _o_touch(a, b)
 
     def test_mask_and_area_agree(self):
         rng = np.random.default_rng(7)
         points = rng.random((40, 40)) < 0.6
         rs = fp(_frame(40, 40), points)
-        assert rs.mask.sum() == rs.area
+        assert rs.mask.sum() == sum(r.w * r.h for r in rs.regions)
 
     def test_overlapping_regions_rejected(self):
         with pytest.raises(ValueError):
@@ -313,6 +312,11 @@ class TestCombine:
             combine_regions(a, b)
 
 
+def _o_touch(a, b):
+    """Overlapping or edge/corner adjacent (closed-interval intersection)."""
+    return a.x <= b.x2 and b.x <= a.x2 and a.y <= b.y2 and b.y <= a.y2
+
+
 def _o_merge_transitive(rects):
     """The pairwise merge that preceded the sweep: repeated passes, each one
     comparing every rectangle with every kept one."""
@@ -323,7 +327,7 @@ def _o_merge_transitive(rects):
         out = []
         for r in rects:
             for i, q in enumerate(out):
-                if r.overlaps(q) or r.touches(q):
+                if _o_touch(r, q):
                     out[i] = q.union(r)
                     merged = True
                     break

@@ -10,6 +10,10 @@ chain), a static scene (background only), an illumination step (gated
 template updates on global brightness) and a 44x60 moving square whose
 templates and some foreground regions are not multiples of 8 (the residual
 codec's edge padding and crop).
+
+The scores are pinned the same way, through the command line: the
+`fbv rd-sweep` CSV and the `fbv decode --report` rows of the square clip
+must match at the precision they are printed with.
 """
 
 import hashlib
@@ -17,7 +21,9 @@ from functools import lru_cache
 
 import pytest
 
-from fbv.pipeline import EncoderConfig, decode_bytes, encode
+from fbv.cli import EXIT_OK, main
+from fbv.core import write_y4m
+from fbv.pipeline import EncoderConfig, decode_bytes, encode, ladder_point
 
 from conftest import moving_square_video, static_video, step_video
 
@@ -61,7 +67,8 @@ def _sha(data: bytes) -> str:
 
 
 def _digests(name: str, point: int) -> tuple[str, str]:
-    cfg = EncoderConfig.from_quality(point, init_frames=8, **CLIPS[name][1])
+    q = ladder_point(point)
+    cfg = EncoderConfig(delta_q=q.delta_q, levels=q.levels, init_frames=8, **CLIPS[name][1])
     data = encode(_clip(name), cfg).data
     frames = decode_bytes(data).video.frames
     return _sha(data), _sha(b"".join(f.planes.tobytes() for f in frames))
@@ -74,3 +81,54 @@ def test_golden_digests(name, point):
 
 def test_golden_table_covers_every_clip_and_ladder_point():
     assert set(GOLDEN) == {(n, p) for n in CLIPS for p in (1, 2, 3, 4)}
+
+
+# `fbv rd-sweep --qualities 1,4` of the square clip
+SWEEP_CSV = """\
+delta_q,levels,bpp,psnr_db,ms_ssim,fb_mixture
+8,1,2.703451,35.3147,0.990672,0.998963
+1,4,3.967611,35.6582,0.991166,0.999110
+"""
+
+# `fbv decode --report` of the square clip at ladder point 1
+REPORT_ROWS = """\
+frame,psnr_db,ms_ssim
+0,31.6674,0.982651
+1,38.1850,0.996823
+2,36.4847,0.996528
+3,36.1407,0.996965
+4,37.1037,0.997435
+5,37.0944,0.997357
+6,35.0979,0.990861
+7,35.1473,0.990457
+8,35.0794,0.990580
+9,34.1119,0.985089
+10,33.8070,0.982008
+11,33.8572,0.981306
+summary,bpp,2.703451
+summary,fb_mixture,0.998963
+summary,sharpness,592.9641
+""".splitlines()
+
+
+@pytest.fixture(scope="module")
+def square_y4m(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden") / "square.y4m"
+    write_y4m(_clip("square"), str(path), force_444=True)
+    return path
+
+
+def test_rd_sweep_scores(square_y4m, capsys):
+    rc = main(["rd-sweep", "-i", str(square_y4m), "--qualities", "1,4", "--init-frames", "8"])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().out == SWEEP_CSV
+
+
+def test_decode_report_scores(square_y4m, tmp_path):
+    fbv, report = tmp_path / "square.fbv", tmp_path / "report.csv"
+    assert main(["encode", "-i", str(square_y4m), "-o", str(fbv),
+                 "--quality", "1", "--init-frames", "8"]) == EXIT_OK
+    assert main(["decode", "-i", str(fbv), "-o", str(tmp_path / "out.y4m"),
+                 "--reference", str(square_y4m), "--report", str(report)]) == EXIT_OK
+    rows = report.read_text().splitlines()
+    assert [r for r in rows if not r.startswith("summary,rd_objective,")] == REPORT_ROWS

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from fbv.core import Frame
-from fbv.metrics import (PSNR_CAP_DB, QualityReport, bpp, fb_mixture,
-                         laplacian_sharpness, ms_ssim, psnr, quality_csv,
-                         rd_objective, summary_json)
-from fbv.entropy import BitBudgetReport
+from fbv.evaluate import QualityReport, quality_csv, summary_json
+from fbv.metrics import PSNR_CAP_DB, bpp, fb_mixture, laplacian_sharpness, ms_ssim, psnr
 
 
 def _flat(value, h=64, w=64):
@@ -123,32 +121,6 @@ class TestSharpness:
         assert laplacian_sharpness(ramp) == pytest.approx(0.0, abs=1e-9)
 
 
-class TestRdObjective:
-    def test_distortion_only(self):
-        a, b = _flat(100), _flat(110)
-        bits = BitBudgetReport(0, 0, 0)
-        # alpha*100 + beta*100 with default alpha=1, beta=16
-        assert rd_objective(a, b, a, b, bits) == pytest.approx(1700.0)
-
-    def test_rate_term_counts_foreground_bits_only(self):
-        a = _flat(100)
-        bits = BitBudgetReport(999_999, 80, 20)
-        assert rd_objective(a, a, a, a, bits) == pytest.approx(0.1 * 100)
-
-    def test_masked_foreground_error(self):
-        a, b = _flat(100), _flat(104)
-        mask = np.zeros((64, 64), dtype=bool)
-        mask[:32] = True
-        bits = BitBudgetReport(0, 0, 0)
-        assert rd_objective(a, b, a, b, bits, mask=mask) == pytest.approx(16 + 16 * 16)
-
-    def test_empty_mask_drops_foreground_term(self):
-        a, b = _flat(100), _flat(104)
-        bits = BitBudgetReport(0, 0, 0)
-        empty = np.zeros((64, 64), dtype=bool)
-        assert rd_objective(a, b, a, b, bits, mask=empty) == pytest.approx(16.0)
-
-
 class TestRates:
     def test_bpp_example(self):
         # 0.1 bpp: 8 * bytes / pixels
@@ -159,25 +131,23 @@ class TestRates:
             bpp(100, 320, 240, 0)
 
     def test_quality_report_means(self):
-        rep = QualityReport((30.0, 40.0), (0.9, 1.0), 0.5, 0.9, 10.0, 5.0)
+        rep = QualityReport((30.0, 40.0), (0.9, 1.0), 0.5, 0.9, 10.0)
         assert rep.psnr_mean == pytest.approx(35.0)
         assert rep.ms_ssim_mean == pytest.approx(0.95)
 
     def test_quality_csv_layout(self):
-        rep = QualityReport((30.0, 40.0), (0.9, 1.0), 0.5, 0.9, 10.0, 5.0)
+        rep = QualityReport((30.0, 40.0), (0.9, 1.0), 0.5, 0.9, 10.0)
         lines = quality_csv(rep).strip().splitlines()
         assert lines[0] == "frame,psnr_db,ms_ssim"
         assert lines[1] == "0,30.0000,0.900000"
         assert lines[2] == "1,40.0000,1.000000"
         assert lines[3:] == ["summary,bpp,0.500000",
                              "summary,fb_mixture,0.900000",
-                             "summary,sharpness,10.0000",
-                             "summary,rd_objective,5.0000"]
+                             "summary,sharpness,10.0000"]
 
     def test_summary_json_round_trips(self):
         import json
-        rep = QualityReport((30.0, 40.0), (0.9, 1.0), 0.5, 0.9, 10.0, 5.0)
+        rep = QualityReport((30.0, 40.0), (0.9, 1.0), 0.5, 0.9, 10.0)
         got = json.loads(summary_json(rep))
         assert got == {"frames": 2, "psnr_db": 35.0, "ms_ssim": 0.95,
-                       "bpp": 0.5, "fb_mixture": 0.9, "sharpness": 10.0,
-                       "rd_objective": 5.0}
+                       "bpp": 0.5, "fb_mixture": 0.9, "sharpness": 10.0}

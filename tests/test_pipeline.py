@@ -8,16 +8,17 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from fbv import pipeline
+from fbv import evaluate, pipeline
 from fbv.bgtemplate import encode_template, interpolated_background
 from fbv.container import (ContainerError, FbvStream, StreamHeader, TemplateRecord,
                            budget_of, build_segments, read_stream, write_stream)
-from fbv.core import FbvError, Frame, VideoSequence
+from fbv.core import ConfigError, FbvError, Frame, VideoSequence
 from fbv.entropy import EntropyDecodeError
+from fbv.evaluate import rd_sweep, score, sweep_csv
 from fbv.metrics import ms_ssim
 from fbv.pipeline import (QUALITY_LADDER, EncoderConfig, TimingReport,
                           analyze_bytes, decode_bytes, decode_frame,
-                          decode_stream, encode, rd_sweep, sweep_csv)
+                          decode_stream, encode, ladder_point)
 from fbv.residual import QualityPoint
 
 from conftest import moving_square_video, smooth_texture, step_video
@@ -72,8 +73,7 @@ class TestEncodeBasics:
         assert all(0.0 <= s <= 1.0 for s in sq_result.gate_trace)
 
     def test_quality_report_is_sane(self, sq_video, sq_result):
-        q = decode_bytes(sq_result.data, reference=sq_video).quality
-        assert q is not None
+        q = score(sq_video, sq_result.data, decode_bytes(sq_result.data).video)
         assert q.psnr_mean > 25.0
         assert 0.8 < q.ms_ssim_mean <= 1.0
         assert 0.0 < q.bpp < 8.0
@@ -133,7 +133,7 @@ class TestEncodeOnlyEncodes:
             raise AssertionError("encode must not decode or score its output")
 
         monkeypatch.setattr(pipeline, "decode_bytes", forbidden)
-        monkeypatch.setattr(pipeline, "_quality_report", forbidden)
+        monkeypatch.setattr(evaluate, "score", forbidden)
         assert encode(sq_video, EncoderConfig(**FAST)).data == sq_result.data
 
 
@@ -177,9 +177,17 @@ class TestDecode:
         assert changed        # feathering must do something on this clip
 
     def test_reference_mismatch_rejected(self, sq_video, sq_result):
+        decoded = decode_bytes(sq_result.data).video
         short = VideoSequence(sq_video.frames[:-1], 25, 1)
-        with pytest.raises(FbvError, match="reference frame count"):
-            decode_bytes(sq_result.data, reference=short)
+        small = VideoSequence(tuple(Frame(f.planes[:, :48, :48], f.frame_index)
+                                    for f in sq_video.frames), 25, 1)
+        for reference in (short, small):
+            with pytest.raises(ConfigError, match="reference is"):
+                score(reference, sq_result.data, decoded)
+
+    def test_pipeline_holds_no_scorer(self):
+        for name in ("psnr", "laplacian_sharpness", "fb_mixture", "rd_objective"):
+            assert not hasattr(pipeline, name), name
 
     def test_frame_indices_are_sequential(self, sq_result):
         dec = decode_bytes(sq_result.data)
@@ -358,11 +366,9 @@ class TestConfig:
     def test_quality_ladder(self):
         assert QUALITY_LADDER[1] == QualityPoint(8.0, 1)
         assert QUALITY_LADDER[4] == QualityPoint(1.0, 4)
-        cfg = EncoderConfig.from_quality(2, init_frames=8)
-        assert (cfg.delta_q, cfg.levels) == (4.0, 2)
-        assert cfg.init_frames == 8
+        assert ladder_point(2) == QualityPoint(4.0, 2)
         with pytest.raises(ValueError, match="quality point"):
-            EncoderConfig.from_quality(9)
+            ladder_point(9)
 
 
 class TestTiming:
