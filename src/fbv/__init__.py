@@ -15,7 +15,7 @@ from .container import (ContainerError, FbvStream, ForegroundRecord,
                         read_stream, write_stream)
 from .core import (ConfigError, FbvError, Frame, Region, VideoFormatError, VideoSequence,
                    frame_from_planes, read_y4m, write_y4m)
-from .decode import CompositeFrame, composite, enhance
+from .decode import composite, enhance
 from .entropy import (BitBudgetReport, ContextModel, EntropyDecodeError,
                       RangeDecoder, RangeEncoder)
 from .evaluate import (QualityReport, RdPoint, quality_csv, rd_sweep, score,
@@ -23,9 +23,9 @@ from .evaluate import (QualityReport, RdPoint, quality_csv, rd_sweep, score,
 from .fgregion import RegionSet, combine_regions, fp
 from .metrics import bpp, fb_mixture, laplacian_sharpness, ms_ssim, psnr
 from .motion import FlowField, decode_flow, encode_flow, estimate_flow, warp
-from .pipeline import (QUALITY_LADDER, AnalyzeReport, DecodeResult,
-                       EncodeResult, EncoderConfig, TimingReport, analyze_bytes,
-                       decode_bytes, decode_frame, decode_stream, encode, ladder_point)
+from .pipeline import (QUALITY_LADDER, DecodeResult, EncodeResult, EncoderConfig,
+                       TimingReport, analyze_bytes, decode_bytes, decode_frame,
+                       decode_stream, encode, ladder_point)
 from .residual import (QualityPoint, decode_residual, encode_residual, quantize,
                        reconstruct_foreground)
 

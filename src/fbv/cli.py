@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from .core import FbvError, read_y4m, write_y4m
 from .entropy import EntropyDecodeError
@@ -97,11 +97,12 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     with open(args.input, "rb") as fh:
         data = fh.read()
     reference = read_y4m(args.reference) if args.reference else None
-    result = decode_bytes(data, enhance_output=not args.no_enhance)
+    result = decode_bytes(data)
+    video = replace(result.video, frames=result.pre_enhance) if args.no_enhance else result.video
     # score before writing, so a reference that does not fit leaves no output
-    q = score(reference, data, result.video) if reference is not None else None
-    write_y4m(result.video, args.output, force_444=True)
-    print(f"wrote {args.output}: {len(result.video.frames)} frames "
+    q = score(reference, data, video) if reference is not None else None
+    write_y4m(video, args.output, force_444=True)
+    print(f"wrote {args.output}: {len(video.frames)} frames "
           f"({result.decode_total_s:.3f} s)")
     if q is not None:
         print(f"psnr {q.psnr_mean:.2f} dB  ms-ssim {q.ms_ssim_mean:.6f}  "
@@ -117,7 +118,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     with open(args.input, "rb") as fh:
         data = fh.read()
-    print(analyze_bytes(data).text, end="")
+    print(analyze_bytes(data), end="")
     return EXIT_OK
 
 

@@ -145,27 +145,28 @@ def _parse_y4m_header(line: bytes) -> tuple[int, int, int, int, str]:
     tokens = line.split(b" ")
     if tokens[0] != _Y4M_MAGIC:
         raise VideoFormatError("not a YUV4MPEG2 stream (bad magic)")
-    width = height = 0
+    dims = {b"W": 0, b"H": 0}
     fps_num, fps_den = 25, 1
     chroma = "420"
     for tok in tokens[1:]:
         if not tok:
             continue
         key, val = tok[:1], tok[1:].decode("ascii", "replace")
-        if key == b"W":
-            width = int(val)
-        elif key == b"H":
-            height = int(val)
+        if key in dims:
+            if not val.isdigit():
+                raise VideoFormatError(f"bad dimension token {key.decode()}{val}")
+            dims[key] = int(val)
         elif key == b"F":
             m = re.fullmatch(r"(\d+):(\d+)", val)
-            if not m:
+            if not m or int(m.group(1)) == 0 or int(m.group(2)) == 0:
                 raise VideoFormatError(f"bad frame-rate token F{val}")
             fps_num, fps_den = int(m.group(1)), int(m.group(2))
         elif key == b"C":
             chroma = val
         # interlacing / aspect tokens are accepted and ignored
-    if width <= 0 or height <= 0:
-        raise VideoFormatError("header missing W or H")
+    width, height = dims[b"W"], dims[b"H"]
+    if width < MIN_DIM or height < MIN_DIM:
+        raise VideoFormatError(f"header W and H must be >= {MIN_DIM}, got {width}x{height}")
     return width, height, fps_num, fps_den, chroma
 
 

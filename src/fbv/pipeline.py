@@ -16,7 +16,7 @@ foreground records starts from a zero reference.
 The decoder mirrors the loop exactly. Backgrounds come from linear
 interpolation between the bracketing templates, foregrounds from the same
 closed-loop warp + residual chain, composited through the region mask and
-optionally feathered. Feathering never enters the prediction loop, so the
+then feathered. Feathering never enters the prediction loop, so the
 pre-enhancement reconstructions on both sides are bit-identical. Both
 directions are pure functions of (bytes, options): encoding the same input
 twice yields byte-identical streams.
@@ -46,7 +46,7 @@ from .container import (GAMMA_SCALE, ContainerError, FbvStream, ForegroundRecord
                         StreamHeader, TemplateRecord, build_segments, budget_of,
                         foreground_payload, read_stream, template_payload, write_stream)
 from .core import ConfigError, Frame, VideoSequence
-from .decode import CompositeFrame, composite, enhance
+from .decode import composite, enhance
 from .entropy import BitBudgetReport
 from .fgregion import RegionSet, combine_regions, fp
 from .metrics import bpp, ms_ssim
@@ -267,7 +267,7 @@ def encode(video: VideoSequence, config: EncoderConfig = EncoderConfig()) -> Enc
     encode_total = time.perf_counter() - t_start
 
     # encoder-side reconstructions (pre-enhancement), for the closed-loop check
-    recon = tuple(c.image for c, _ in _composites(
+    recon = tuple(image for image, _ in _composites(
         [bt.frame_index for bt in chain.templates], lambda j: chain.templates[j].image,
         fg_recon, range(n)))
 
@@ -319,7 +319,8 @@ def _decode_foreground(header: StreamHeader, records) -> dict[int, tuple[RegionS
 
 def _composites(tframes, image, fg_map, frame_nos):
     """(composite, regions or None) per frame: the foreground of fg_map over the
-    background interpolated between bracketing templates (image(j) at tframes[j])."""
+    background interpolated between bracketing templates (image(j) at tframes[j]);
+    regions is None on a background-only frame."""
     for t in frame_nos:
         i, k = _bracket(tframes, t)
         m, j = (tframes[k] - tframes[i], tframes[k] - t) if i != k else (1, 0)
@@ -328,13 +329,7 @@ def _composites(tframes, image, fg_map, frame_nos):
             rs, fg = fg_map[t]
             yield composite(fg, bg, rs.mask), rs
         else:
-            yield CompositeFrame(bg, np.zeros((bg.height, bg.width), dtype=bool)), None
-
-
-def _output(comp: CompositeFrame, rs: RegionSet | None, enhance_output: bool) -> Frame:
-    if rs is None or not enhance_output:
-        return comp.image
-    return enhance(comp, rs)
+            yield bg, None
 
 
 class Decoder:
@@ -367,15 +362,16 @@ class Decoder:
                 self._decoded[i] = decode_template(prev, tr.residual, tr.frame_no, h, w)
         return self._decoded[j].image
 
-    def frames(self, enhance_output: bool) -> tuple[list[Frame], list[Frame]]:
+    def frames(self) -> tuple[list[Frame], list[Frame]]:
+        """(pre-enhancement, output) frames of the whole stream."""
         fg_map = _decode_foreground(self.header, self.foregrounds)
         # composite every frame before enhancing any: interleaving the two raised peak RSS
         comps = list(_composites(self.tframes, self.template, fg_map,
                                  range(self.header.frame_count)))
-        pre = [c.image for c, _ in comps]
-        return pre, [_output(c, rs, enhance_output) for c, rs in comps]
+        pre = [image for image, _ in comps]
+        return pre, [image if rs is None else enhance(image, rs) for image, rs in comps]
 
-    def frame(self, frame_no: int, enhance_output: bool) -> Frame:
+    def frame(self, frame_no: int) -> Frame:
         n = self.header.frame_count
         if not 0 <= frame_no < n:
             raise ContainerError(f"frame {frame_no} out of range 0..{n - 1}")
@@ -383,8 +379,8 @@ class Decoder:
         run = () if i is None else \
             self.foregrounds[bisect_left(self.run_keys, self.run_keys[i]):i + 1]
         fg_map = _decode_foreground(self.header, run)
-        (comp, rs), = _composites(self.tframes, self.template, fg_map, [frame_no])
-        return _output(comp, rs, enhance_output)
+        (image, rs), = _composites(self.tframes, self.template, fg_map, [frame_no])
+        return image if rs is None else enhance(image, rs)
 
 
 _DECODERS: dict[int, Decoder] = {}      # id(stream) -> its Decoder, while the stream lives
@@ -398,36 +394,28 @@ def _decoder(stream: FbvStream) -> Decoder:
     return dec
 
 
-def decode_stream(stream: FbvStream,
-                  enhance_output: bool = True) -> tuple[list[Frame], list[Frame]]:
+def decode_stream(stream: FbvStream) -> tuple[list[Frame], list[Frame]]:
     """Full-sequence decode. Returns (pre-enhancement, output) frame lists."""
-    return _decoder(stream).frames(enhance_output)
+    return _decoder(stream).frames()
 
 
-def decode_bytes(data: bytes, enhance_output: bool = True) -> DecodeResult:
+def decode_bytes(data: bytes) -> DecodeResult:
     """Decode a container; fbv.evaluate.score measures the output."""
     t0 = time.perf_counter()
     stream = read_stream(data)
-    pre, out = decode_stream(stream, enhance_output)
+    pre, out = decode_stream(stream)
     total = time.perf_counter() - t0
     video = VideoSequence(tuple(out), stream.header.fps_num, stream.header.fps_den)
     return DecodeResult(video=video, pre_enhance=tuple(pre), decode_total_s=total)
 
 
-def decode_frame(stream: FbvStream, frame_no: int, enhance_output: bool = True) -> Frame:
+def decode_frame(stream: FbvStream, frame_no: int) -> Frame:
     """Random access: decode one frame, bit-identical to the sequential path.
     The stream's templates are decoded once and kept while the stream lives."""
-    return _decoder(stream).frame(frame_no, enhance_output)
+    return _decoder(stream).frame(frame_no)
 
 
-@dataclass(frozen=True)
-class AnalyzeReport:
-    text: str
-    budget: BitBudgetReport
-    bpp: float
-
-
-def analyze_bytes(data: bytes) -> AnalyzeReport:
+def analyze_bytes(data: bytes) -> str:
     """Human-readable stream dump: header, records, indexes, bit split, bpp."""
     stream = read_stream(data)
     h = stream.header
@@ -464,4 +452,4 @@ def analyze_bytes(data: bytes) -> AnalyzeReport:
     p(f"  FR  foreground residual  {budget.bits_fg_residual:10d} bits  {fr:7.4f}")
     p(f"  FMV foreground motion    {budget.bits_fg_motion:10d} bits  {fmv:7.4f}")
     p(f"bpp: {rate:.6f}")
-    return AnalyzeReport(out.getvalue(), budget, rate)
+    return out.getvalue()

@@ -92,9 +92,9 @@ def test_criterion_02_closed_loop_equality():
              _drifting_pair_video()]
     for clip in clips:
         res = encode(clip, EncoderConfig(**FAST))
-        dec = decode_bytes(res.data, enhance_output=False)
-        assert len(dec.video.frames) == len(res.recon) == len(clip.frames)
-        for got, want in zip(dec.video.frames, res.recon):
+        dec = decode_bytes(res.data)
+        assert len(dec.pre_enhance) == len(res.recon) == len(clip.frames)
+        for got, want in zip(dec.pre_enhance, res.recon):
             assert got.frame_index == want.frame_index
             assert np.array_equal(got.planes, want.planes)
 

@@ -8,6 +8,7 @@ import pytest
 from fbv.cli import EXIT_FORMAT, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from fbv.container import read_stream
 from fbv.core import read_y4m, write_y4m
+from fbv.pipeline import decode_bytes
 
 from conftest import moving_square_video
 
@@ -117,6 +118,11 @@ class TestDecode:
         b = read_y4m(str(nice))
         assert any(not np.array_equal(x.planes, y.planes)
                    for x, y in zip(a.frames, b.frames))
+        # --no-enhance writes the frames decode computes before feathering
+        pre = decode_bytes(fbv.read_bytes()).pre_enhance
+        assert len(a.frames) == len(pre)
+        for x, y in zip(a.frames, pre):
+            assert np.array_equal(x.planes, y.planes)
 
     @pytest.mark.parametrize("frames,size", [(10, 48), (16, 32)])
     def test_reference_that_does_not_fit_is_a_usage_error(self, work, tmp_path,
@@ -236,3 +242,23 @@ class TestExitCodes:
     def test_analyze_on_y4m(self, work):
         _, src, _ = work
         assert main(["analyze", "-i", str(src)]) == EXIT_FORMAT
+
+    @pytest.mark.parametrize("tokens,size", [
+        (b"Wabc H32 F25:1", 32),     # a dimension that is not an integer
+        (b"W32 H32 F0:1", 32),       # a zero frame rate
+        (b"W8 H8 F25:1", 8),         # well formed, but below the minimum frame size
+    ])
+    def test_malformed_or_unsupported_video_is_a_format_error(self, tmp_path, tokens, size):
+        def y4m(header: bytes, side: int) -> bytes:
+            frame = b"FRAME\n" + bytes(i % 256 for i in range(side * side * 3 // 2))
+            return b"YUV4MPEG2 " + header + b" C420jpeg\n" + frame * 12
+
+        out = tmp_path / "x.fbv"
+        clip = tmp_path / "clip.y4m"
+        clip.write_bytes(y4m(b"W32 H32 F25:1", 32))
+        assert main(["encode", "-i", str(clip), "-o", str(out), "--init-frames", "8"]) == EXIT_OK
+        out.unlink()
+        clip.write_bytes(y4m(tokens, size))
+        rc = main(["encode", "-i", str(clip), "-o", str(out), "--init-frames", "8"])
+        assert rc == EXIT_FORMAT
+        assert not out.exists()

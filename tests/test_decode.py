@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fbv.core import Frame, Region
-from fbv.decode import DEFAULT_BAND, CompositeFrame, composite, enhance
+from fbv.decode import BAND, composite, enhance
 from fbv.fgregion import RegionSet
 
 
@@ -15,9 +15,7 @@ def _frame(value, h=32, w=32, index=0):
 def _two_tone(region, fg=200, bg=100, h=32, w=32):
     planes = np.full((3, h, w), bg, dtype=np.uint8)
     planes[:, region.y:region.y2, region.x:region.x2] = fg
-    mask = np.zeros((h, w), dtype=bool)
-    mask[region.y:region.y2, region.x:region.x2] = True
-    return CompositeFrame(Frame(planes, 0), mask)
+    return Frame(planes, 0)
 
 
 class TestComposite:
@@ -27,9 +25,10 @@ class TestComposite:
         bg = Frame(rng.integers(0, 256, (3, 16, 16), dtype=np.uint8), 7)
         mask = rng.random((16, 16)) < 0.5
         comp = composite(fg, bg, mask)
-        assert np.array_equal(comp.image.planes[:, mask], fg.planes[:, mask])
-        assert np.array_equal(comp.image.planes[:, ~mask], bg.planes[:, ~mask])
-        assert comp.image.frame_index == 7
+        assert isinstance(comp, Frame)
+        assert np.array_equal(comp.planes[:, mask], fg.planes[:, mask])
+        assert np.array_equal(comp.planes[:, ~mask], bg.planes[:, ~mask])
+        assert comp.frame_index == 7
 
     def test_dimension_checks(self):
         fg = _frame(1, 16, 16)
@@ -39,16 +38,12 @@ class TestComposite:
         with pytest.raises(ValueError):
             composite(fg, _frame(2, 16, 16), np.zeros((8, 8), dtype=bool))
 
-    def test_composite_frame_validates_mask(self):
-        with pytest.raises(ValueError):
-            CompositeFrame(_frame(0), np.zeros((8, 8), dtype=bool))
-
 
 class TestFeatherRamp:
     def test_linear_ramp_outside_edge(self):
         region = Region(12, 12, 8, 8)
         comp = _two_tone(region)
-        out = enhance(comp, RegionSet((region,), 32, 32), band=3)
+        out = enhance(comp, RegionSet((region,), 32, 32))
         # right of the region edge: D = 1, 2, 3 then untouched
         row = out.planes[0, 15, :]
         assert row[19] == 200                       # inside, unmodified
@@ -59,7 +54,7 @@ class TestFeatherRamp:
     def test_corner_pixel_uses_chebyshev_distance(self):
         region = Region(12, 12, 8, 8)
         comp = _two_tone(region)
-        out = enhance(comp, RegionSet((region,), 32, 32), band=3)
+        out = enhance(comp, RegionSet((region,), 32, 32))
         # diagonal corner at (20, 20): Chebyshev D = 1
         assert out.planes[0, 20, 20] == 175
         assert out.planes[0, 22, 22] == 125
@@ -67,66 +62,55 @@ class TestFeatherRamp:
     def test_inside_and_far_pixels_unchanged(self):
         region = Region(12, 12, 8, 8)
         comp = _two_tone(region)
-        out = enhance(comp, RegionSet((region,), 32, 32), band=3)
-        inside = comp.mask
+        out = enhance(comp, RegionSet((region,), 32, 32))
+        inside = RegionSet((region,), 32, 32).mask
         far = np.ones((32, 32), dtype=bool)
         far[8:24, 8:24] = False
-        assert np.array_equal(out.planes[:, inside], comp.image.planes[:, inside])
-        assert np.array_equal(out.planes[:, far], comp.image.planes[:, far])
+        assert np.array_equal(out.planes[:, inside], comp.planes[:, inside])
+        assert np.array_equal(out.planes[:, far], comp.planes[:, far])
 
     def test_idempotent_away_from_borders(self):
         region = Region(12, 12, 8, 8)
         comp = _two_tone(region)
         rs = RegionSet((region,), 32, 32)
-        once = enhance(comp, rs, band=3)
-        twice = enhance(CompositeFrame(once, comp.mask), rs, band=3)
+        once = enhance(comp, rs)
+        twice = enhance(once, rs)
         assert np.array_equal(once.planes, twice.planes)
 
     def test_default_band(self):
+        # the ramp reaches exactly BAND pixels out from the region edge
         region = Region(12, 12, 8, 8)
         comp = _two_tone(region)
-        rs = RegionSet((region,), 32, 32)
-        assert np.array_equal(enhance(comp, rs).planes,
-                              enhance(comp, rs, band=DEFAULT_BAND).planes)
+        out = enhance(comp, RegionSet((region,), 32, 32))
+        changed = np.nonzero(out.planes[0, 15, 20:] != comp.planes[0, 15, 20:])[0]
+        assert BAND == 3
+        assert changed.tolist() == list(range(BAND))
 
 
 class TestFeatherEdgeCases:
-    def test_band_zero_is_identity(self):
-        region = Region(12, 12, 8, 8)
-        comp = _two_tone(region)
-        out = enhance(comp, RegionSet((region,), 32, 32), band=0)
-        assert out is comp.image
-
     def test_no_regions_is_identity(self):
         comp = _two_tone(Region(12, 12, 8, 8))
-        out = enhance(comp, RegionSet((), 32, 32), band=3)
-        assert out is comp.image
-
-    def test_negative_band_rejected(self):
-        comp = _two_tone(Region(12, 12, 8, 8))
-        with pytest.raises(ValueError):
-            enhance(comp, RegionSet((Region(12, 12, 8, 8),), 32, 32), band=-1)
+        out = enhance(comp, RegionSet((), 32, 32))
+        assert out is comp
 
     def test_region_flush_to_frame_edge(self):
         # no outside pixels on the flush sides; the open side still ramps
         region = Region(0, 0, 8, 8)
         comp = _two_tone(region)
-        out = enhance(comp, RegionSet((region,), 32, 32), band=3)
-        assert np.array_equal(out.planes[:, 0:8, 0:8], comp.image.planes[:, 0:8, 0:8])
+        out = enhance(comp, RegionSet((region,), 32, 32))
+        assert np.array_equal(out.planes[:, 0:8, 0:8], comp.planes[:, 0:8, 0:8])
         row = out.planes[0, 4, :]
         assert [row[8], row[9], row[10]] == [175, 150, 125]
 
     def test_anchor_clamps_at_frame_border(self):
-        # band pixels exist but the band+1 anchor would fall off the frame:
+        # band pixels exist but the BAND+1 anchor would fall off the frame:
         # the anchor clamps to the border pixel
         h = w = 16
         region = Region(0, 0, 14, 8)    # only 2 columns to the right
         planes = np.full((3, h, w), 100, dtype=np.uint8)
         planes[:, 0:8, 0:14] = 200
-        mask = np.zeros((h, w), dtype=bool)
-        mask[0:8, 0:14] = True
-        comp = CompositeFrame(Frame(planes, 0), mask)
-        out = enhance(comp, RegionSet((region,), h, w), band=3)
+        comp = Frame(planes, 0)
+        out = enhance(comp, RegionSet((region,), h, w))
         # x=14 -> D=1, anchor clamps from x=17 to x=15 (value 100)
         assert out.planes[0, 4, 14] == 175
         assert out.planes[0, 4, 15] == 150
@@ -134,8 +118,8 @@ class TestFeatherEdgeCases:
     def test_whole_frame_region_is_untouched(self):
         region = Region(0, 0, 32, 32)
         comp = _two_tone(region, fg=137)
-        out = enhance(comp, RegionSet((region,), 32, 32), band=3)
-        assert np.array_equal(out.planes, comp.image.planes)
+        out = enhance(comp, RegionSet((region,), 32, 32))
+        assert np.array_equal(out.planes, comp.planes)
 
 
 class TestMultiRegion:
@@ -145,11 +129,8 @@ class TestMultiRegion:
         planes = np.full((3, 32, 48), 100, dtype=np.uint8)
         planes[:, 8:16, 8:16] = 200
         planes[:, 8:16, 21:29] = 60
-        mask = np.zeros((32, 48), dtype=bool)
-        mask[8:16, 8:16] = True
-        mask[8:16, 21:29] = True
-        comp = CompositeFrame(Frame(planes, 0), mask)
-        out = enhance(comp, RegionSet((a, b), 32, 48), band=3)
+        comp = Frame(planes, 0)
+        out = enhance(comp, RegionSet((a, b), 32, 48))
         row = out.planes[0, 12, :]
         # left half of the gap blends from a (f=200), right half from b (f=60);
         # anchors read the original composite, not feathered values
@@ -165,11 +146,8 @@ class TestMultiRegion:
         planes = np.full((3, 32, 32), 100, dtype=np.uint8)
         planes[:, 4:12, 4:12] = 200
         planes[:, 20:28, 20:28] = 200
-        mask = np.zeros((32, 32), dtype=bool)
-        mask[4:12, 4:12] = True
-        mask[20:28, 20:28] = True
-        comp = CompositeFrame(Frame(planes, 0), mask)
-        both = enhance(comp, RegionSet((a, b), 32, 32), band=3)
-        only_a = enhance(_two_tone(a), RegionSet((a,), 32, 32), band=3)
+        comp = Frame(planes, 0)
+        both = enhance(comp, RegionSet((a, b), 32, 32))
+        only_a = enhance(_two_tone(a), RegionSet((a,), 32, 32))
         assert np.array_equal(both.planes[:, 0:16, 0:16],
                               only_a.planes[:, 0:16, 0:16])
