@@ -24,8 +24,8 @@ from .fgregion import RegionSet, combine_regions, fp
 from .metrics import bpp, fb_mixture, laplacian_sharpness, ms_ssim, psnr
 from .motion import FlowField, decode_flow, encode_flow, estimate_flow, warp
 from .pipeline import (QUALITY_LADDER, DecodeResult, EncodeResult, EncoderConfig,
-                       TimingReport, analyze_bytes, decode_bytes, decode_frame,
-                       decode_stream, encode, ladder_point)
+                       analyze_bytes, decode_bytes, decode_frame, decode_stream,
+                       encode, ladder_point)
 from .residual import (QualityPoint, decode_residual, encode_residual, quantize,
                        reconstruct_foreground)
 

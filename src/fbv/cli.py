@@ -85,9 +85,9 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     br, fr, fmv = result.budget.ratios
     print(f"bit split: BR {br:.4f}  FR {fr:.4f}  FMV {fmv:.4f}")
     print("timing (mean ms/frame):")
-    for name, ms in result.timing.rows():
-        print(f"  {name:24s} {ms:9.3f}")
-    print(f"encode total {result.timing.encode_total_s:.3f} s")
+    for name, s in result.stage_s.items():
+        print(f"  {name:24s} {1000.0 * s / n:9.3f}")
+    print(f"encode total {sum(result.stage_s.values()):.3f} s")
     return EXIT_OK
 
 

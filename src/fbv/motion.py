@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Frame, Region
-from .entropy import (ContextModel, RangeDecoder, RangeEncoder,
+from .entropy import (ContextModel, EntropyDecodeError, RangeDecoder, RangeEncoder,
                       decode_unary_eg0, encode_unary_eg0)
 from .fgregion import RegionSet
 
@@ -169,8 +169,8 @@ def _refine_halfpel(prev: np.ndarray, target: np.ndarray,
     return best_x, best_y
 
 
-def warp(prev_fg: Frame, flow: FlowField, regions: RegionSet) -> Frame:
-    """Backward-warp the previous foreground onto the current mask."""
+def warp(prev_fg: Frame, flow: FlowField) -> Frame:
+    """Backward-warp the previous foreground onto the flow's regions."""
     out = np.zeros_like(prev_fg.planes, dtype=np.int64)
     prev = prev_fg.planes.astype(np.int64)
     for region, grid in zip(flow.regions, flow.vectors):
@@ -234,7 +234,10 @@ def decode_flow(data: bytes, regions: RegionSet) -> FlowField:
                     sign = -1 if dec.decode(_CTX_SIGN + comp) else 1
                     base = _CTX_EG_PREFIX + comp * 4
                     mag = decode_unary_eg0(dec, base, base + 3, prefix_span=3) + 1
-                    grid[by, bx, comp] = pred + sign * mag
+                    v = pred + sign * mag
+                    if abs(v) > 2 * SEARCH_RANGE:
+                        raise EntropyDecodeError(f"flow component {v} out of range")
+                    grid[by, bx, comp] = v
         grids.append(grid)
     dec.finish()
     return FlowField(regions.regions, tuple(grids))

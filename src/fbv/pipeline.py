@@ -35,7 +35,8 @@ import io
 import time
 import weakref
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, fields
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,45 +107,11 @@ class EncoderConfig:
 
 
 @dataclass(frozen=True)
-class TimingReport:
-    """Mean milliseconds per frame for each encode stage, plus the wall total.
-
-    The motion, compensation and residual rows are sub-stages of the
-    foreground row, so the encode total bounds separation + background +
-    foreground (the exclusive stages). DecodeResult times the decode.
-    """
-
-    separation_ms: float
-    background_ms: float
-    foreground_ms: float
-    motion_ms: float
-    compensation_ms: float
-    residual_ms: float
-    encode_total_s: float
-    frame_count: int
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError("timings must be nonnegative")
-
-    def rows(self) -> list[tuple[str, float]]:
-        return [
-            ("separation", self.separation_ms),
-            ("background compression", self.background_ms),
-            ("foreground compression", self.foreground_ms),
-            ("motion estimation", self.motion_ms),
-            ("motion compensation", self.compensation_ms),
-            ("residual codec", self.residual_ms),
-        ]
-
-
-@dataclass(frozen=True)
 class EncodeResult:
     data: bytes
     stream: FbvStream
     budget: BitBudgetReport
-    timing: TimingReport
+    stage_s: dict[str, float]           # wall seconds per encode stage, in run order
     gate_trace: tuple[float, ...]       # per-frame MS-SSIM vs current template
     recon: tuple[Frame, ...]            # closed-loop pre-enhancement frames
 
@@ -160,31 +127,6 @@ def _zero_frame(h: int, w: int, index: int) -> Frame:
     return Frame(np.zeros((3, h, w), dtype=np.uint8), index)
 
 
-def _code_foreground(ref: Frame, cur: Frame, used: RegionSet, q: QualityPoint,
-                     clock: dict | None = None):
-    """Flow + residual coding of one frame's regions against ref (closed loop).
-
-    Returns (flow_bytes, residual_bytes, reconstructed fg Frame).
-    """
-    t0 = time.perf_counter()
-    flow = estimate_flow(ref, cur, used)
-    flow_bytes = encode_flow(flow)
-    t1 = time.perf_counter()
-    warped = warp(ref, flow, used)
-    t2 = time.perf_counter()
-    patches = [cur.planes[:, r.y:r.y2, r.x:r.x2].astype(np.int64)
-               - warped.planes[:, r.y:r.y2, r.x:r.x2].astype(np.int64)
-               for r in used.regions]
-    res_bytes, decoded = encode_residual(patches, q)
-    rec = _assemble_foreground(warped, decoded, used, cur.frame_index)
-    t3 = time.perf_counter()
-    if clock is not None:
-        clock["motion"] += t1 - t0
-        clock["compensation"] += t2 - t1
-        clock["residual"] += t3 - t2
-    return flow_bytes, res_bytes, rec
-
-
 def _assemble_foreground(warped: Frame, decoded_patches, used: RegionSet,
                          index: int) -> Frame:
     res_plane = np.zeros_like(warped.planes, dtype=np.int64)
@@ -192,6 +134,14 @@ def _assemble_foreground(warped: Frame, decoded_patches, used: RegionSet,
         res_plane[:, r.y:r.y2, r.x:r.x2] = patch
     planes = reconstruct_foreground(warped.planes, res_plane, used.mask)
     return Frame(planes, index)
+
+
+@contextmanager
+def _timed(stage_s: dict[str, float], stage: str):
+    """Add the wall time of the with block to stage_s[stage]."""
+    t0 = time.perf_counter()
+    yield
+    stage_s[stage] = stage_s.get(stage, 0.0) + time.perf_counter() - t0
 
 
 def encode(video: VideoSequence, config: EncoderConfig = EncoderConfig()) -> EncodeResult:
@@ -208,80 +158,76 @@ def encode(video: VideoSequence, config: EncoderConfig = EncoderConfig()) -> Enc
             f"{config.init_frames}")
     q = config.quality
     gamma_fp = round(config.gamma * GAMMA_SCALE)
-    clock = {"separation": 0.0, "background": 0.0, "foreground": 0.0,
-             "motion": 0.0, "compensation": 0.0, "residual": 0.0}
-    t_start = time.perf_counter()
+    # the anchor is coded before frame 0's gate; seeding keeps the rows in loop order
+    stage_s = {"separation": 0.0, "gate": 0.0}
 
     # pass one: train the separator, then seed the template chain at frame 0
-    t0 = time.perf_counter()
-    state = gmm_init(frames[:config.init_frames], config.gmm_params)
-    clock["separation"] += time.perf_counter() - t0
-    t0 = time.perf_counter()
+    with _timed(stage_s, "separation"):
+        state = gmm_init(frames[:config.init_frames], config.gmm_params)
+        anchor = Frame(background_estimate(state).planes, 0)
     # gate against the gamma the header records, not the unrounded setting
     chain = TemplateChain(gamma=gamma_fp / GAMMA_SCALE, anchor_interval=config.anchor_interval)
-    chain.admit(Frame(background_estimate(state).planes, 0), score=0.0)
-    clock["background"] += time.perf_counter() - t0
+    with _timed(stage_s, "template coding"):
+        chain.admit(anchor, score=0.0)
 
     # pass two: code every frame with the trained state carried forward
     gate_trace: list[float] = []
-    fg_records: list[ForegroundRecord] = []
+    coded: list[tuple] = []             # (frame, regions, flow, residual) per fg record
     fg_recon: dict[int, tuple[RegionSet, Frame]] = {}
     prev_fg: Frame | None = None
     rs_prev = RegionSet((), h, w)
-    for t in range(n):
-        t0 = time.perf_counter()
-        state, sep = gmm_update(state, frames[t])
-        t1 = time.perf_counter()
+    for t, cur in enumerate(frames):
+        with _timed(stage_s, "separation"):
+            state, sep = gmm_update(state, cur)
         candidate = Frame(sep.background.planes, t)
-        score = ms_ssim(chain.current.image, candidate)
+        with _timed(stage_s, "gate"):
+            score = ms_ssim(chain.current.image, candidate)
         gate_trace.append(score)
         if t > chain.current.frame_index:    # the anchor already holds frame 0
-            chain.admit(candidate, score)
-        t2 = time.perf_counter()
-        rs_cur = fp(frames[t], sep.points)
-        used = combine_regions(rs_prev, rs_cur)
-        if used.regions:
-            ref = prev_fg if prev_fg is not None else _zero_frame(h, w, t)
-            flow_b, res_b, rec = _code_foreground(ref, frames[t], used, q, clock)
-            fg_records.append(ForegroundRecord(t, used.regions, flow_b, res_b))
-            fg_recon[t] = (used, rec)
-            prev_fg = rec
-        else:
-            prev_fg = None
+            with _timed(stage_s, "template coding"):
+                chain.admit(candidate, score)
+        with _timed(stage_s, "region extraction"):
+            rs_cur = fp(cur, sep.points)
+            used = combine_regions(rs_prev, rs_cur)
         rs_prev = rs_cur
-        t3 = time.perf_counter()
-        clock["separation"] += t1 - t0
-        clock["background"] += t2 - t1
-        clock["foreground"] += t3 - t2
+        if not used.regions:
+            prev_fg = None
+            continue
+        # flow + residual against the previous reconstructed foreground (closed loop)
+        with _timed(stage_s, "motion estimation"):
+            ref = prev_fg if prev_fg is not None else _zero_frame(h, w, t)
+            flow = estimate_flow(ref, cur, used)
+            flow_b = encode_flow(flow)
+        with _timed(stage_s, "motion compensation"):
+            warped = warp(ref, flow)
+        with _timed(stage_s, "residual codec"):
+            patches = [cur.planes[:, r.y:r.y2, r.x:r.x2].astype(np.int64)
+                       - warped.planes[:, r.y:r.y2, r.x:r.x2].astype(np.int64)
+                       for r in used.regions]
+            res_b, decoded = encode_residual(patches, q)
+            prev_fg = _assemble_foreground(warped, decoded, used, cur.frame_index)
+        coded.append((t, used.regions, flow_b, res_b))
+        fg_recon[t] = (used, prev_fg)
 
-    header = StreamHeader(
-        width=w, height=h, fps_num=video.fps_num, fps_den=video.fps_den,
-        frame_count=n, levels=q.levels, delta_fp=q.delta_fp,
-        gamma_fp=gamma_fp)
-    templates = tuple(TemplateRecord(bt.frame_index, bt.anchor, bt.payload)
-                      for bt in chain.templates)
-    stream = FbvStream(header, templates,
-                       tuple(fg_records),
-                       build_segments(n, [r.frame_no for r in fg_records]))
-    data = write_stream(stream)
-    encode_total = time.perf_counter() - t_start
+    with _timed(stage_s, "container"):
+        header = StreamHeader(
+            width=w, height=h, fps_num=video.fps_num, fps_den=video.fps_den,
+            frame_count=n, levels=q.levels, delta_fp=q.delta_fp,
+            gamma_fp=gamma_fp)
+        templates = tuple(TemplateRecord(bt.frame_index, bt.anchor, bt.payload)
+                          for bt in chain.templates)
+        stream = FbvStream(header, templates,
+                           tuple(ForegroundRecord(*c) for c in coded),
+                           build_segments(n, [c[0] for c in coded]))
+        data = write_stream(stream)
+        budget = budget_of(stream)
 
     # encoder-side reconstructions (pre-enhancement), for the closed-loop check
-    recon = tuple(image for image, _ in _composites(
-        [bt.frame_index for bt in chain.templates], lambda j: chain.templates[j].image,
-        fg_recon, range(n)))
-
-    per_ms = lambda s: 1000.0 * s / n
-    timing = TimingReport(
-        separation_ms=per_ms(clock["separation"]),
-        background_ms=per_ms(clock["background"]),
-        foreground_ms=per_ms(clock["foreground"]),
-        motion_ms=per_ms(clock["motion"]),
-        compensation_ms=per_ms(clock["compensation"]),
-        residual_ms=per_ms(clock["residual"]),
-        encode_total_s=encode_total,
-        frame_count=n)
-    return EncodeResult(data=data, stream=stream, budget=budget_of(stream), timing=timing,
+    with _timed(stage_s, "reconstruction"):
+        recon = tuple(image for image, _ in _composites(
+            [bt.frame_index for bt in chain.templates], lambda j: chain.templates[j].image,
+            fg_recon, range(n)))
+    return EncodeResult(data=data, stream=stream, budget=budget, stage_s=stage_s,
                         gate_trace=tuple(gate_trace), recon=recon)
 
 
@@ -309,7 +255,7 @@ def _decode_foreground(header: StreamHeader, records) -> dict[int, tuple[RegionS
         ref = prev_fg if contiguous and prev_fg is not None \
             else _zero_frame(h, w, rec.frame_no)
         flow = decode_flow(rec.flow, rs)
-        warped = warp(ref, flow, rs)
+        warped = warp(ref, flow)
         patches = decode_residual(rec.residual, [(r.h, r.w) for r in rec.regions], q)
         fg = _assemble_foreground(warped, patches, rs, rec.frame_no)
         out[rec.frame_no] = (rs, fg)

@@ -1,13 +1,17 @@
 """Command-line behavior: workflows, precedence, exit codes."""
 
 import json
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from fbv.cli import EXIT_FORMAT, EXIT_IO, EXIT_OK, EXIT_USAGE, main
-from fbv.container import read_stream
+from fbv.container import read_stream, write_stream
 from fbv.core import read_y4m, write_y4m
+from fbv.fgregion import RegionSet
+from fbv.motion import decode_flow, encode_flow
 from fbv.pipeline import decode_bytes
 
 from conftest import moving_square_video
@@ -191,6 +195,25 @@ class TestExitCodes:
         bad.write_bytes(b"garbage")
         rc = main(["decode", "-i", str(bad), "-o", str(tmp_path / "out.y4m")])
         assert rc == EXIT_FORMAT
+
+    @pytest.mark.parametrize("component", [40, 40000])
+    def test_out_of_range_flow_component_is_a_format_error(self, work, tmp_path, component):
+        # a well-formed payload whose first decoded vector leaves the search range
+        _, _, fbv = work
+        stream = read_stream(fbv.read_bytes())
+        rec = stream.foregrounds[0]
+        h, w = stream.header.height, stream.header.width
+        grids = [g.astype(np.int64) for g in
+                 decode_flow(rec.flow, RegionSet(rec.regions, h, w)).vectors]
+        grids[0][0, 0, 0] = component
+        # FlowField rejects such a vector, so code it from a plain record of the grids
+        flow = encode_flow(SimpleNamespace(regions=rec.regions, vectors=grids))
+        bad = tmp_path / "bad.fbv"
+        bad.write_bytes(write_stream(replace(
+            stream, foregrounds=(replace(rec, flow=flow),) + stream.foregrounds[1:])))
+        out = tmp_path / "out.y4m"
+        assert main(["decode", "-i", str(bad), "-o", str(out)]) == EXIT_FORMAT
+        assert not out.exists()
 
     def test_bad_gamma_flag(self, work, tmp_path):
         _, src, _ = work

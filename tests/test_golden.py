@@ -14,15 +14,23 @@ codec's edge padding and crop).
 The scores are pinned the same way, through the command line: the
 `fbv rd-sweep` CSV and the `fbv decode --report` rows of the square clip
 must match at the precision they are printed with.
+
+The same streams, damaged by a seeded mutation fuzzer, must decode or fail
+with a format error (ContainerError or EntropyDecodeError) within a time
+bound: nothing else may escape the decoder.
 """
 
 import hashlib
+import time
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from fbv.cli import EXIT_OK, main
+from fbv.container import ContainerError
 from fbv.core import write_y4m
+from fbv.entropy import EntropyDecodeError
 from fbv.pipeline import EncoderConfig, decode_bytes, encode, ladder_point
 
 from conftest import moving_square_video, static_video, step_video
@@ -66,10 +74,15 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _digests(name: str, point: int) -> tuple[str, str]:
+@lru_cache(maxsize=None)
+def _stream(name: str, point: int) -> bytes:
     q = ladder_point(point)
     cfg = EncoderConfig(delta_q=q.delta_q, levels=q.levels, init_frames=8, **CLIPS[name][1])
-    data = encode(_clip(name), cfg).data
+    return encode(_clip(name), cfg).data
+
+
+def _digests(name: str, point: int) -> tuple[str, str]:
+    data = _stream(name, point)
     frames = decode_bytes(data).video.frames
     return _sha(data), _sha(b"".join(f.planes.tobytes() for f in frames))
 
@@ -132,3 +145,37 @@ def test_decode_report_scores(square_y4m, tmp_path):
                  "--reference", str(square_y4m), "--report", str(report)]) == EXIT_OK
     rows = report.read_text().splitlines()
     assert [r for r in rows if not r.startswith("summary,rd_objective,")] == REPORT_ROWS
+
+
+# the mutation fuzz corpus: streams with foreground runs, templates and edge crops
+FUZZ_STREAMS = [(name, point) for name in ("square", "offgrid", "step") for point in (1, 4)]
+
+
+def _mutate(data: bytes, rng) -> bytes:
+    """1-3 flipped bits, a truncation, or 8 bytes spliced in from elsewhere."""
+    out = bytearray(data)
+    kind = int(rng.integers(3))
+    if kind == 0:
+        for _ in range(int(rng.integers(1, 4))):
+            out[int(rng.integers(len(out)))] ^= 1 << int(rng.integers(8))
+    elif kind == 1:
+        del out[int(rng.integers(len(out))):]
+    else:
+        src, dst = (int(i) for i in rng.integers(0, len(out) - 8, 2))
+        out[dst:dst + 8] = data[src:src + 8]
+    return bytes(out)
+
+
+@pytest.mark.parametrize("name,point", FUZZ_STREAMS)
+def test_mutated_streams_fail_cleanly(name, point):
+    """A damaged stream decodes or raises a format error, and does so quickly."""
+    data = _stream(name, point)
+    rng = np.random.default_rng(1000 + FUZZ_STREAMS.index((name, point)))
+    for case in range(20):
+        bad = _mutate(data, rng)
+        t0 = time.perf_counter()
+        try:
+            decode_bytes(bad)
+        except (ContainerError, EntropyDecodeError):
+            pass
+        assert time.perf_counter() - t0 < 2.0, f"case {case} took too long"

@@ -118,7 +118,7 @@ class TestTranslationRecovery:
         flow = estimate_flow(prev, cur, rs)
         assert (flow.vectors[0][:, :, 0] == 2 * vx).all()
         assert (flow.vectors[0][:, :, 1] == 2 * vy).all()
-        warped = warp(prev, flow, rs)
+        warped = warp(prev, flow)
         mask = rs.mask
         assert np.array_equal(warped.planes[:, mask], shifted[:, mask])
         assert (warped.planes[:, ~mask] == 0).all()
@@ -132,7 +132,7 @@ class TestTranslationRecovery:
         flow = estimate_flow(_fg(prev, 0), _fg(cur, 1), rs)
         assert (flow.vectors[0][:, :, 0] == 1).all()
         assert (flow.vectors[0][:, :, 1] == 0).all()
-        warped = warp(_fg(prev, 0), flow, rs)
+        warped = warp(_fg(prev, 0), flow)
         mask = rs.mask
         want = _fg(cur, 0).planes
         assert np.array_equal(warped.planes[0][mask], want[0][mask])
@@ -152,7 +152,7 @@ class TestWarp:
         rs = RegionSet((Region(0, 0, 16, 16), Region(32, 24, 16, 16)), 48, 48)
         flow = FlowField(rs.regions, tuple(np.zeros((2, 2, 2), dtype=np.int16)
                                            for _ in rs.regions))
-        out = warp(prev, flow, rs)
+        out = warp(prev, flow)
         mask = rs.mask
         assert np.array_equal(out.planes[:, mask], planes[:, mask])
         assert (out.planes[:, ~mask] == 0).all()
@@ -164,7 +164,7 @@ class TestWarp:
         rs = RegionSet((Region(0, 0, 8, 8),), 24, 24)
         grid = np.array([[[-31, 27]]], dtype=np.int16)   # half-pel, clamps hard
         flow = FlowField(rs.regions, (grid,))
-        out = warp(prev, flow, rs)
+        out = warp(prev, flow)
         for ch in range(3):
             for y in range(8):
                 for x in range(8):
@@ -244,7 +244,7 @@ class TestOffGridRegion:
         rs = RegionSet((Region(8, 8, 20, 12),), 40, 40)
         flow = estimate_flow(prev, cur, rs)
         assert flow.vectors[0].shape == (2, 3, 2)
-        out = warp(prev, flow, rs)
+        out = warp(prev, flow)
         mask = rs.mask
         assert (out.planes[:, ~mask] == 0).all()
         data = encode_flow(flow)

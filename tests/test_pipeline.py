@@ -2,6 +2,7 @@
 
 import gc
 import struct
+import time
 import weakref
 from dataclasses import fields, replace
 
@@ -16,12 +17,11 @@ from fbv.core import ConfigError, FbvError, Frame, VideoSequence
 from fbv.entropy import EntropyDecodeError
 from fbv.evaluate import rd_sweep, score, sweep_csv
 from fbv.metrics import ms_ssim
-from fbv.pipeline import (QUALITY_LADDER, EncoderConfig, TimingReport,
-                          analyze_bytes, decode_bytes, decode_frame,
-                          decode_stream, encode, ladder_point)
+from fbv.pipeline import (QUALITY_LADDER, EncoderConfig, analyze_bytes, decode_bytes,
+                          decode_frame, decode_stream, encode, ladder_point)
 from fbv.residual import QualityPoint
 
-from conftest import moving_square_video, smooth_texture, step_video
+from conftest import moving_square_video, smooth_texture, static_video, step_video
 
 FAST = dict(init_frames=8)
 
@@ -362,24 +362,26 @@ class TestConfig:
             ladder_point(9)
 
 
-class TestTiming:
-    def test_report_rows_and_totals(self, sq_video, sq_result):
-        t = sq_result.timing
-        assert t.frame_count == len(sq_video.frames)
-        assert t.encode_total_s > 0
-        assert decode_bytes(sq_result.data).decode_total_s > 0
-        labels = [name for name, _ in t.rows()]
-        assert labels == ["separation", "background compression",
-                          "foreground compression", "motion estimation",
-                          "motion compensation", "residual codec"]
-        # exclusive stages fit inside the encode wall total
-        n = t.frame_count
-        stage_s = (t.separation_ms + t.background_ms + t.foreground_ms) * n / 1000.0
-        assert stage_s <= t.encode_total_s
+STAGES = ["separation", "gate", "template coding", "region extraction",
+          "motion estimation", "motion compensation", "residual codec",
+          "container", "reconstruction"]
+FOREGROUND_STAGES = {"motion estimation", "motion compensation", "residual codec"}
 
-    def test_negative_timing_rejected(self):
-        with pytest.raises(ValueError):
-            TimingReport(-1, 0, 0, 0, 0, 0, 0, 10)
+
+class TestTiming:
+    def test_report_rows_and_totals(self, sq_video):
+        static = static_video(n=12)
+        for video, want in ((sq_video, STAGES),
+                            (static, [s for s in STAGES if s not in FOREGROUND_STAGES])):
+            config = EncoderConfig(**FAST)
+            t0 = time.perf_counter()
+            res = encode(video, config)
+            wall = time.perf_counter() - t0
+            assert list(res.stage_s) == want
+            assert all(s >= 0.0 for s in res.stage_s.values())
+            # the stages are exclusive and cover encode's wall time
+            assert abs(sum(res.stage_s.values()) - wall) <= 0.05 * wall
+            assert decode_bytes(res.data).decode_total_s > 0
 
 
 class TestAnalyze:
