@@ -22,19 +22,24 @@ directions are pure functions of (bytes, options): encoding the same input
 twice yields byte-identical streams.
 
 The encoder's closed-loop reconstruction, the full decode and a single-frame
-seek assemble frames through the same helpers: _bracket picks the templates
-around a frame and _composites interpolates and composites. Both decode
-entry points share one Decoder per stream, which decodes each template once
-and keeps it while the stream lives; a seek (decode_frame) then replays only
-the foreground run that ends at the frame.
+seek assemble every frame with one helper, _reconstruct: _bracket picks the
+templates around the frame, the background is interpolated between them and
+the foreground composited over it. Decoding is one walk, Decoder.frames(start),
+that yields frames one at a time and keeps only the last decoded foreground, as
+the next record's reference. A full decode walks from frame 0; a seek
+(decode_frame) walks from the start of the foreground run holding its frame and
+stops there. Both share one Decoder per stream, which decodes each template
+once and keeps it while the stream lives.
 """
 
 from __future__ import annotations
 
 import io
+import operator
 import time
 import weakref
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -224,9 +229,9 @@ def encode(video: VideoSequence, config: EncoderConfig = EncoderConfig()) -> Enc
 
     # encoder-side reconstructions (pre-enhancement), for the closed-loop check
     with _timed(stage_s, "reconstruction"):
-        recon = tuple(image for image, _ in _composites(
-            [bt.frame_index for bt in chain.templates], lambda j: chain.templates[j].image,
-            fg_recon, range(n)))
+        tframes = [bt.frame_index for bt in chain.templates]
+        recon = tuple(_reconstruct(tframes, lambda j: chain.templates[j].image, t,
+                                   fg_recon.get(t)) for t in range(n))
     return EncodeResult(data=data, stream=stream, budget=budget, stage_s=stage_s,
                         gate_trace=tuple(gate_trace), recon=recon)
 
@@ -242,57 +247,42 @@ def _bracket(tframes, t: int) -> tuple[int, int]:
     return pos - 1, pos
 
 
-def _decode_foreground(header: StreamHeader, records) -> dict[int, tuple[RegionSet, Frame]]:
-    """Closed-loop foreground decode of consecutive records (a run prefix)."""
+def _decode_record(header: StreamHeader, rec: ForegroundRecord,
+                   prev: Frame | None) -> tuple[RegionSet, Frame]:
+    """Closed-loop decode of one foreground record: warp prev, the decoded
+    record of the frame before it (None when rec starts a run), then add the
+    residual."""
     h, w = header.height, header.width
-    q = header.quality
-    out: dict[int, tuple[RegionSet, Frame]] = {}
-    prev_fg: Frame | None = None
-    prev_no = None
-    for rec in records:
-        rs = RegionSet(rec.regions, h, w)
-        contiguous = prev_no is not None and rec.frame_no == prev_no + 1
-        ref = prev_fg if contiguous and prev_fg is not None \
-            else _zero_frame(h, w, rec.frame_no)
-        flow = decode_flow(rec.flow, rs)
-        warped = warp(ref, flow)
-        patches = decode_residual(rec.residual, [(r.h, r.w) for r in rec.regions], q)
-        fg = _assemble_foreground(warped, patches, rs, rec.frame_no)
-        out[rec.frame_no] = (rs, fg)
-        prev_fg, prev_no = fg, rec.frame_no
-    return out
+    rs = RegionSet(rec.regions, h, w)
+    ref = prev if prev is not None else _zero_frame(h, w, rec.frame_no)
+    warped = warp(ref, decode_flow(rec.flow, rs))
+    patches = decode_residual(rec.residual, [(r.h, r.w) for r in rec.regions], header.quality)
+    return rs, _assemble_foreground(warped, patches, rs, rec.frame_no)
 
 
-def _composites(tframes, image, fg_map, frame_nos):
-    """(composite, regions or None) per frame: the foreground of fg_map over the
-    background interpolated between bracketing templates (image(j) at tframes[j]);
-    regions is None on a background-only frame."""
-    for t in frame_nos:
-        i, k = _bracket(tframes, t)
-        m, j = (tframes[k] - tframes[i], tframes[k] - t) if i != k else (1, 0)
-        bg = Frame(interpolated_background(image(i), image(k), m, j).planes, t)
-        if t in fg_map:
-            rs, fg = fg_map[t]
-            yield composite(fg, bg, rs.mask), rs
-        else:
-            yield bg, None
+def _reconstruct(tframes, image, t: int, fg: tuple[RegionSet, Frame] | None) -> Frame:
+    """Frame t before enhancement: the foreground fg = (regions, frame) composited
+    over the background interpolated between the templates bracketing t (image(j)
+    is the template at tframes[j]); the background alone when fg is None."""
+    i, k = _bracket(tframes, t)
+    m, j = (tframes[k] - tframes[i], tframes[k] - t) if i != k else (1, 0)
+    bg = Frame(interpolated_background(image(i), image(k), m, j).planes, t)
+    return bg if fg is None else composite(fg[1], bg, fg[0].mask)
 
 
 class Decoder:
-    """Sequential and random access to one stream's records (not the stream).
+    """One walk over one stream's records (not the stream) for full decode and seeks.
 
     Each template is decoded at most once and kept: one 3xHxW uint8 image per
     template. One whose decode raised is not kept, so later uses raise again.
-    Foreground frames are not kept: a seek replays the run ending at its frame.
+    Foreground frames are not kept: the walk holds only the last decoded one,
+    as the next record's reference, and a seek replays the run holding its frame.
     """
 
     def __init__(self, stream: FbvStream) -> None:
         self.header, self.templates = stream.header, stream.templates
         self.foregrounds = stream.foregrounds
         self.tframes = [tr.frame_no for tr in stream.templates]
-        self.fg_index = {r.frame_no: i for i, r in enumerate(stream.foregrounds)}
-        # a run's frame numbers are consecutive, so frame_no - index is constant on it
-        self.run_keys = [r.frame_no - i for i, r in enumerate(stream.foregrounds)]
         self._decoded: dict[int, BackgroundTemplate] = {}
 
     def template(self, j: int) -> Frame:
@@ -308,25 +298,33 @@ class Decoder:
                 self._decoded[i] = decode_template(prev, tr.residual, tr.frame_no, h, w)
         return self._decoded[j].image
 
-    def frames(self) -> tuple[list[Frame], list[Frame]]:
-        """(pre-enhancement, output) frames of the whole stream."""
-        fg_map = _decode_foreground(self.header, self.foregrounds)
-        # composite every frame before enhancing any: interleaving the two raised peak RSS
-        comps = list(_composites(self.tframes, self.template, fg_map,
-                                 range(self.header.frame_count)))
-        pre = [image for image, _ in comps]
-        return pre, [image if rs is None else enhance(image, rs) for image, rs in comps]
+    def frames(self, start: int = 0) -> Iterator[tuple[Frame, Frame]]:
+        """Yield (pre-enhancement, output) for each frame from start on, one at a time.
 
-    def frame(self, frame_no: int) -> Frame:
+        The walk begins at the first record of the foreground run holding start
+        (at start itself on a background-only frame) and decodes a record only
+        when it reaches that record's frame, so next(frames(t)) decodes nothing
+        beyond t.
+        """
+        start = operator.index(start)
         n = self.header.frame_count
-        if not 0 <= frame_no < n:
-            raise ContainerError(f"frame {frame_no} out of range 0..{n - 1}")
-        i = self.fg_index.get(frame_no)
-        run = () if i is None else \
-            self.foregrounds[bisect_left(self.run_keys, self.run_keys[i]):i + 1]
-        fg_map = _decode_foreground(self.header, run)
-        (image, rs), = _composites(self.tframes, self.template, fg_map, [frame_no])
-        return image if rs is None else enhance(image, rs)
+        if not 0 <= start < n:
+            raise ContainerError(f"frame {start} out of range 0..{n - 1}")
+        fgs = self.foregrounds
+        i = bisect_left(fgs, start, key=lambda r: r.frame_no)   # first record from start on
+        t = start
+        while 0 < i < len(fgs) and fgs[i].frame_no == t and fgs[i - 1].frame_no == t - 1:
+            i, t = i - 1, t - 1
+        fg = None
+        for t in range(t, n):
+            if i < len(fgs) and fgs[i].frame_no == t:
+                fg = _decode_record(self.header, fgs[i], None if fg is None else fg[1])
+                i += 1
+            else:
+                fg = None
+            if t >= start:
+                pre = _reconstruct(self.tframes, self.template, t, fg)
+                yield pre, pre if fg is None else enhance(pre, fg[0])
 
 
 _DECODERS: dict[int, Decoder] = {}      # id(stream) -> its Decoder, while the stream lives
@@ -342,7 +340,8 @@ def _decoder(stream: FbvStream) -> Decoder:
 
 def decode_stream(stream: FbvStream) -> tuple[list[Frame], list[Frame]]:
     """Full-sequence decode. Returns (pre-enhancement, output) frame lists."""
-    return _decoder(stream).frames()
+    pre, out = zip(*_decoder(stream).frames())
+    return list(pre), list(out)
 
 
 def decode_bytes(data: bytes) -> DecodeResult:
@@ -358,7 +357,7 @@ def decode_bytes(data: bytes) -> DecodeResult:
 def decode_frame(stream: FbvStream, frame_no: int) -> Frame:
     """Random access: decode one frame, bit-identical to the sequential path.
     The stream's templates are decoded once and kept while the stream lives."""
-    return _decoder(stream).frame(frame_no)
+    return next(_decoder(stream).frames(frame_no))[1]
 
 
 def analyze_bytes(data: bytes) -> str:

@@ -11,6 +11,9 @@ template updates on global brightness) and a 44x60 moving square whose
 templates and some foreground regions are not multiples of 8 (the residual
 codec's edge padding and crop).
 
+Random access is pinned too: seeking every frame of a stream in reverse
+order on one opened stream must hash to the same frames digest.
+
 The scores are pinned the same way, through the command line: the
 `fbv rd-sweep` CSV and the `fbv decode --report` rows of the square clip
 must match at the precision they are printed with.
@@ -28,10 +31,10 @@ import numpy as np
 import pytest
 
 from fbv.cli import EXIT_OK, main
-from fbv.container import ContainerError
+from fbv.container import ContainerError, read_stream
 from fbv.core import write_y4m
 from fbv.entropy import EntropyDecodeError
-from fbv.pipeline import EncoderConfig, decode_bytes, encode, ladder_point
+from fbv.pipeline import EncoderConfig, decode_bytes, decode_frame, encode, ladder_point
 
 from conftest import moving_square_video, static_video, step_video
 
@@ -164,6 +167,13 @@ def _mutate(data: bytes, rng) -> bytes:
         src, dst = (int(i) for i in rng.integers(0, len(out) - 8, 2))
         out[dst:dst + 8] = data[src:src + 8]
     return bytes(out)
+
+
+@pytest.mark.parametrize("name,point", FUZZ_STREAMS)
+def test_reverse_seeks_match_the_golden_frames(name, point):
+    stream = read_stream(_stream(name, point))
+    frames = [decode_frame(stream, t) for t in reversed(range(stream.header.frame_count))]
+    assert _sha(b"".join(f.planes.tobytes() for f in reversed(frames))) == GOLDEN[name, point][1]
 
 
 @pytest.mark.parametrize("name,point", FUZZ_STREAMS)

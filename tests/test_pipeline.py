@@ -3,6 +3,7 @@
 import gc
 import struct
 import time
+import tracemalloc
 import weakref
 from dataclasses import fields, replace
 
@@ -42,17 +43,22 @@ def step_result():
     return encode(step_video(), EncoderConfig(anchor_interval=2, learning_rate=0.2, **FAST))
 
 
-def _counting_template_decodes(monkeypatch):
-    """Patch fbv.pipeline.decode_template; returns the list of decoded frame numbers."""
+def _counting(monkeypatch, name: str, arg: int):
+    """Patch fbv.pipeline.<name>; returns the list of each call's positional argument arg."""
     calls = []
-    original = pipeline.decode_template
+    original = getattr(pipeline, name)
 
     def counted(*args, **kwargs):
-        calls.append(args[2])       # the template's frame number
+        calls.append(args[arg])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "decode_template", counted)
+    monkeypatch.setattr(pipeline, name, counted)
     return calls
+
+
+def _counting_template_decodes(monkeypatch):
+    """The frame numbers of the templates fbv.pipeline decodes, in call order."""
+    return _counting(monkeypatch, "decode_template", 2)
 
 
 class TestEncodeBasics:
@@ -225,6 +231,50 @@ class TestRandomAccess:
         calls.clear()
         decode_frame(stream, t2)
         assert calls == []
+
+
+class TestOneWalk:
+    """Full decode and seeks are one walk that decodes a record at its own frame."""
+
+    def test_frames_stream_one_at_a_time(self, sq_result):
+        # a walk that keeps no frame holds one foreground reference, whatever the length
+        peaks = []
+        for data in (sq_result.data, encode(moving_square_video(n=48), EncoderConfig(**FAST)).data):
+            stream = read_stream(data)
+            tracemalloc.start()
+            try:
+                for _ in pipeline.Decoder(stream).frames():
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
+
+    @pytest.mark.parametrize("t,records", [(14, 3), (24, 1), (20, 0)])
+    def test_seek_decodes_its_run_up_to_the_frame(self, step_result, monkeypatch, t, records):
+        assert [f.frame_no for f in step_result.stream.foregrounds] == [12, 13, 14, 15, 24, 25, 26]
+        stream = read_stream(step_result.data)
+        calls = _counting(monkeypatch, "decode_residual", 0)
+        decode_frame(stream, t)
+        assert len(calls) == records
+
+    def test_walk_from_a_frame_matches_sequential(self, step_result):
+        pre, out = decode_stream(read_stream(step_result.data))
+        got = list(pipeline.Decoder(read_stream(step_result.data)).frames(14))
+        assert len(got) == len(out) - 14
+        for t, (p, o) in enumerate(got, 14):
+            assert p.frame_index == o.frame_index == t
+            assert np.array_equal(p.planes, pre[t].planes), t
+            assert np.array_equal(o.planes, out[t].planes), t
+
+    def test_non_integer_frame_rejected(self, step_result):
+        stream = read_stream(step_result.data)
+        for t in (20.5, 20.0, "20"):
+            with pytest.raises(TypeError):
+                decode_frame(stream, t)
+        got = decode_frame(stream, np.int64(20))
+        assert got.frame_index == 20
+        assert np.array_equal(got.planes, decode_frame(stream, 20).planes)
 
 
 class TestTemplateCache:
