@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+import time
+from dataclasses import fields
 
-from .core import FbvError, read_y4m, write_y4m
+from .container import read_stream
+from .core import FbvError, VideoSequence, read_y4m, write_y4m
 from .entropy import EntropyDecodeError
 from .evaluate import quality_csv, rd_sweep, score, summary_json, sweep_csv
 from .metrics import bpp
-from .pipeline import (QUALITY_LADDER, EncoderConfig, analyze_bytes, decode_bytes,
-                       encode, ladder_point)
+from .pipeline import (QUALITY_LADDER, Decoder, EncoderConfig, analyze_bytes,
+                       decode_bytes, encode, ladder_point)
 from .residual import QualityPoint
 
 EXIT_OK = 0
@@ -97,13 +99,20 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     with open(args.input, "rb") as fh:
         data = fh.read()
     reference = read_y4m(args.reference) if args.reference else None
-    result = decode_bytes(data)
-    video = replace(result.video, frames=result.pre_enhance) if args.no_enhance else result.video
+    t0 = time.perf_counter()
+    if args.no_enhance:
+        # walk the decoder without feathering: the pre-enhancement frames only
+        stream = read_stream(data)
+        video = VideoSequence(tuple(pre for pre, _ in Decoder(stream).frames()),
+                              stream.header.fps_num, stream.header.fps_den)
+    else:
+        video = decode_bytes(data).video
+    seconds = time.perf_counter() - t0
     # score before writing, so a reference that does not fit leaves no output
     q = score(reference, data, video) if reference is not None else None
     write_y4m(video, args.output, force_444=True)
     print(f"wrote {args.output}: {len(video.frames)} frames "
-          f"({result.decode_total_s:.3f} s)")
+          f"({seconds:.3f} s)")
     if q is not None:
         print(f"psnr {q.psnr_mean:.2f} dB  ms-ssim {q.ms_ssim_mean:.6f}  "
               f"fb-mixture {q.fb_mixture:.6f}")

@@ -23,6 +23,16 @@ record is illegal (such frames belong in a segment instead). Templates chain
 by residual prediction; records flagged as anchors restart the chain, so a
 seek decodes only the templates from the nearest anchor at or before the
 bracketing pair.
+
+Every stream has exactly one valid byte form, the one write_stream gives:
+records sorted by (frame_no, kind) with templates first, anchor flags 0 or 1,
+payload lengths that match their bodies, both indexes in record order, the
+segments that build_segments derives from the foreground frames, and nothing
+between the segment list and the footer. read_stream parses the header, the
+records and the footer's bg_index_offset, and accepts the input only if
+writing the parsed stream gives the same bytes back; the indexes and the
+segment list are written for readers that seek by offset and are checked by
+that comparison, not parsed.
 """
 
 from __future__ import annotations
@@ -163,18 +173,16 @@ class FbvStream:
 
 
 def build_segments(frame_count: int, fg_frames) -> tuple[tuple[int, int], ...]:
-    """Canonical non-foreground segments: maximal runs of uncovered frames."""
-    fg = set(fg_frames)
+    """Canonical non-foreground segments: maximal runs of frames below frame_count
+    that are not foreground. The walk is over the sorted foreground frames, so
+    its cost follows their count, never frame_count."""
     segments = []
-    start = None
-    for t in range(frame_count):
-        if t in fg:
-            if start is not None:
-                segments.append((start, t - 1))
-                start = None
-        elif start is None:
-            start = t
-    if start is not None:
+    start = 0
+    for t in sorted(set(fg_frames)):
+        if start < t:
+            segments.append((start, t - 1))
+        start = t + 1
+    if start < frame_count:
         segments.append((start, frame_count - 1))
     return tuple(segments)
 
@@ -247,15 +255,9 @@ class _Reader:
 
 
 def _parse_template_payload(payload: bytes, frame_no: int) -> TemplateRecord:
-    if len(payload) < _TEMPLATE_HEAD.size:
-        raise ContainerError("truncated template payload")
-    anchor, rlen = _TEMPLATE_HEAD.unpack_from(payload)
-    if anchor not in (0, 1):
-        raise ContainerError("invalid template anchor flag")
-    body = payload[_TEMPLATE_HEAD.size:]
-    if len(body) != rlen:
-        raise ContainerError("template payload length mismatch")
-    return TemplateRecord(frame_no, bool(anchor), body)
+    r = _Reader(payload)
+    anchor, _ = r.unpack(_TEMPLATE_HEAD, "template header")
+    return TemplateRecord(frame_no, bool(anchor), payload[r.pos:])
 
 
 def _parse_foreground_payload(payload: bytes, frame_no: int) -> ForegroundRecord:
@@ -272,13 +274,12 @@ def _parse_foreground_payload(payload: bytes, frame_no: int) -> ForegroundRecord
     flow = r.take(flow_len, "flow payload")
     (res_len,) = r.unpack(_U32, "residual length")
     residual = r.take(res_len, "residual payload")
-    if r.pos != len(payload):
-        raise ContainerError("foreground payload has trailing bytes")
     return ForegroundRecord(frame_no, tuple(regions), flow, residual)
 
 
 def read_stream(data: bytes) -> FbvStream:
-    """Parse and fully validate a wire-format stream."""
+    """Parse a wire-format stream; only the bytes write_stream gives back are
+    accepted (the canonical form, see the module docstring)."""
     if len(data) < _PREAMBLE.size + _HEADER.size + _FOOTER.size:
         raise ContainerError("truncated stream: too short for header and footer")
     magic, version = _PREAMBLE.unpack_from(data)
@@ -286,68 +287,34 @@ def read_stream(data: bytes) -> FbvStream:
         raise ContainerError("bad magic: not an fbv stream")
     if version != VERSION:
         raise ContainerError(f"unsupported version {version}")
-    fields = _HEADER.unpack_from(data, _PREAMBLE.size)
-    header = StreamHeader(*fields)
+    header = StreamHeader(*_HEADER.unpack_from(data, _PREAMBLE.size))
 
-    bg_index_offset, fg_index_offset, footer_magic = _FOOTER.unpack_from(
-        data, len(data) - _FOOTER.size)
+    records_end, _, footer_magic = _FOOTER.unpack_from(data, len(data) - _FOOTER.size)
     if footer_magic != FOOTER_MAGIC:
         raise ContainerError("bad index footer")
-    records_end = bg_index_offset
     if not (_PREAMBLE.size + _HEADER.size <= records_end <= len(data) - _FOOTER.size):
-        raise ContainerError("bad index footer: offsets out of bounds")
-    if not (records_end <= fg_index_offset <= len(data) - _FOOTER.size):
         raise ContainerError("bad index footer: offsets out of bounds")
 
     r = _Reader(data)
     r.pos = _PREAMBLE.size + _HEADER.size
     templates: list[TemplateRecord] = []
     foregrounds: list[ForegroundRecord] = []
-    offsets: dict[int, tuple[int, int]] = {}
     while r.pos < records_end:
-        offset = r.pos
         tag, frame_no, payload_len = r.unpack(_RECORD_HEAD, "record header")
         payload = r.take(payload_len, "record payload")
-        if r.pos > records_end:
-            raise ContainerError("record overruns index area")
         if tag == TAG_TEMPLATE:
             templates.append(_parse_template_payload(payload, frame_no))
         elif tag == TAG_FOREGROUND:
             foregrounds.append(_parse_foreground_payload(payload, frame_no))
         else:
             raise ContainerError(f"unknown record tag 0x{tag:02x}")
-        offsets[offset] = (tag, frame_no)
-    if r.pos != records_end:
-        raise ContainerError("record area does not end at index offset")
 
-    r.pos = bg_index_offset
-    bg_entries = _read_index(r, "background index")
-    if r.pos != fg_index_offset:
-        raise ContainerError("foreground index not adjacent to background index")
-    fg_entries = _read_index(r, "foreground index")
-    (seg_count,) = r.unpack(_U32, "segment count")
-    segments = tuple(r.unpack(_SEGMENT, "segment") for _ in range(seg_count))
-    if r.pos != len(data) - _FOOTER.size:
-        raise ContainerError("trailing bytes between indexes and footer")
-
-    _check_index(bg_entries, templates, TAG_TEMPLATE, offsets, "background")
-    _check_index(fg_entries, foregrounds, TAG_FOREGROUND, offsets, "foreground")
+    segments = build_segments(header.frame_count, (f.frame_no for f in foregrounds))
     stream = FbvStream(header, tuple(templates), tuple(foregrounds), segments)
-    stream.validate()
+    if write_stream(stream) != data:
+        raise ContainerError("stream is not in canonical form: "
+                             "its bytes differ from the re-encoded records")
     return stream
-
-
-def _read_index(r: _Reader, what: str) -> list[tuple[int, int]]:
-    (count,) = r.unpack(_U32, what)
-    return [r.unpack(_INDEX_ENTRY, what) for _ in range(count)]
-
-
-def _check_index(entries, records, tag, offsets, what) -> None:
-    if len(entries) != len(records):
-        raise ContainerError(f"{what} index length does not match records")
-    for (frame_no, offset), rec in zip(entries, records):
-        if offsets.get(offset) != (tag, frame_no) or rec.frame_no != frame_no:
-            raise ContainerError(f"{what} index entry disagrees with records")
 
 
 def budget_of(stream: FbvStream) -> BitBudgetReport:

@@ -298,8 +298,9 @@ class Decoder:
                 self._decoded[i] = decode_template(prev, tr.residual, tr.frame_no, h, w)
         return self._decoded[j].image
 
-    def frames(self, start: int = 0) -> Iterator[tuple[Frame, Frame]]:
-        """Yield (pre-enhancement, output) for each frame from start on, one at a time.
+    def frames(self, start: int = 0) -> Iterator[tuple[Frame, RegionSet | None]]:
+        """Yield (pre-enhancement frame, its foreground regions) for each frame from
+        start on, one at a time; the regions are None on a background-only frame.
 
         The walk begins at the first record of the foreground run holding start
         (at start itself on a background-only frame) and decodes a record only
@@ -323,8 +324,8 @@ class Decoder:
             else:
                 fg = None
             if t >= start:
-                pre = _reconstruct(self.tframes, self.template, t, fg)
-                yield pre, pre if fg is None else enhance(pre, fg[0])
+                yield (_reconstruct(self.tframes, self.template, t, fg),
+                       None if fg is None else fg[0])
 
 
 _DECODERS: dict[int, Decoder] = {}      # id(stream) -> its Decoder, while the stream lives
@@ -338,10 +339,18 @@ def _decoder(stream: FbvStream) -> Decoder:
     return dec
 
 
+def _output(pre: Frame, regions: RegionSet | None) -> Frame:
+    """The output frame: pre feathered around its foreground regions, if any."""
+    return pre if regions is None else enhance(pre, regions)
+
+
 def decode_stream(stream: FbvStream) -> tuple[list[Frame], list[Frame]]:
     """Full-sequence decode. Returns (pre-enhancement, output) frame lists."""
-    pre, out = zip(*_decoder(stream).frames())
-    return list(pre), list(out)
+    pre, out = [], []
+    for frame, regions in _decoder(stream).frames():
+        pre.append(frame)
+        out.append(_output(frame, regions))
+    return pre, out
 
 
 def decode_bytes(data: bytes) -> DecodeResult:
@@ -357,7 +366,7 @@ def decode_bytes(data: bytes) -> DecodeResult:
 def decode_frame(stream: FbvStream, frame_no: int) -> Frame:
     """Random access: decode one frame, bit-identical to the sequential path.
     The stream's templates are decoded once and kept while the stream lives."""
-    return next(_decoder(stream).frames(frame_no))[1]
+    return _output(*next(_decoder(stream).frames(frame_no)))
 
 
 def analyze_bytes(data: bytes) -> str:

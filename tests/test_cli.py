@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from fbv import pipeline
 from fbv.cli import EXIT_FORMAT, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from fbv.container import read_stream, write_stream
 from fbv.core import read_y4m, write_y4m
@@ -111,13 +112,19 @@ class TestDecode:
         assert len(summary_rows) == 3
         assert float(data_rows[0].split(",")[1]) > 20.0
 
-    def test_no_enhance_changes_output(self, work):
+    def test_no_enhance_changes_output(self, work, monkeypatch):
         d, _, fbv = work
         plain = d / "plain.y4m"
         nice = d / "nice.y4m"
+        calls = []
+        feather = pipeline.enhance
+        monkeypatch.setattr(pipeline, "enhance", lambda *a: calls.append(1) or feather(*a))
         assert main(["decode", "-i", str(fbv), "-o", str(nice)]) == EXIT_OK
+        assert calls
+        calls.clear()
         assert main(["decode", "-i", str(fbv), "-o", str(plain),
                      "--no-enhance"]) == EXIT_OK
+        assert calls == []      # nothing is feathered only to be thrown away
         a = read_y4m(str(plain))
         b = read_y4m(str(nice))
         assert any(not np.array_equal(x.planes, y.planes)

@@ -7,9 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fbv.container import (FbvStream, ForegroundRecord, StreamHeader,
-                           TemplateRecord, budget_of, build_segments,
-                           read_stream, write_stream, ContainerError)
+from fbv.container import (TAG_FOREGROUND, TAG_TEMPLATE, FbvStream, ForegroundRecord,
+                           StreamHeader, TemplateRecord, budget_of, build_segments,
+                           foreground_payload, read_stream, template_payload,
+                           write_stream, ContainerError)
 from fbv.core import Region
 from fbv.pipeline import _bracket, decode_frame
 from fbv.residual import QualityPoint
@@ -69,6 +70,25 @@ def _random_stream(rng):
                           int(rng.integers(1, 10000)), int(rng.integers(0, 256)))
     return FbvStream(header, templates, tuple(fgs),
                      build_segments(frame_count, fg_frames))
+
+
+def _assemble(stream, records) -> bytes:
+    """The wire layout by hand, with the records in the order given."""
+    out = bytearray(write_stream(stream)[:23])      # preamble and header
+    index = {TAG_TEMPLATE: [], TAG_FOREGROUND: []}
+    for rec in records:
+        tag = TAG_TEMPLATE if isinstance(rec, TemplateRecord) else TAG_FOREGROUND
+        payload = template_payload(rec) if tag == TAG_TEMPLATE else foreground_payload(rec)
+        index[tag].append((rec.frame_no, len(out)))
+        out += struct.pack("<BII", tag, rec.frame_no, len(payload)) + payload
+    offsets = []
+    for tag in (TAG_TEMPLATE, TAG_FOREGROUND):
+        offsets.append(len(out))
+        out += struct.pack("<I", len(index[tag]))
+        out += b"".join(struct.pack("<IQ", *entry) for entry in index[tag])
+    out += struct.pack("<I", len(stream.segments))
+    out += b"".join(struct.pack("<II", *seg) for seg in stream.segments)
+    return bytes(out + struct.pack("<QQ4s", *offsets, b"FBIX"))
 
 
 class TestRoundTrip:
@@ -191,7 +211,7 @@ class TestStreamValidation:
 class TestWireErrors:
     def test_huge_claimed_frame_count_costs_only_the_input(self):
         # under 100 bytes, yet the header claims 4 M frames; the last
-        # segment ends one frame short, so coverage fails
+        # segment ends one frame short, so the stream is not canonical
         n = 4_000_000
         data = bytearray(write_stream(FbvStream(
             _header(n), (TemplateRecord(0, True, b""),), (), ((0, n - 1),))))
@@ -199,10 +219,10 @@ class TestWireErrors:
         struct.pack_into("<I", data, len(data) - 20 - 4, n - 2)
         tracemalloc.start()
         try:
-            t0 = time.perf_counter()
-            with pytest.raises(ContainerError, match="coverage incomplete"):
+            t0 = time.process_time()
+            with pytest.raises(ContainerError, match="not in canonical form"):
                 read_stream(bytes(data))
-            elapsed = time.perf_counter() - t0
+            elapsed = time.process_time() - t0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -236,8 +256,24 @@ class TestWireErrors:
         bg_off, _, _ = struct.unpack_from("<QQ4s", data, len(data) - 20)
         # corrupt the offset field of the first background index entry
         data[bg_off + 4 + 4] ^= 0x01
-        with pytest.raises(ContainerError, match="index entry disagrees"):
+        with pytest.raises(ContainerError, match="not in canonical form"):
             read_stream(bytes(data))
+
+    def test_split_segment_rejected(self):
+        # one background run written as two adjacent segments: valid, not canonical
+        data = write_stream(FbvStream(_header(10), (TemplateRecord(0, True, b"ab"),), (),
+                                      ((0, 4), (5, 9))))
+        with pytest.raises(ContainerError, match="not in canonical form"):
+            read_stream(data)
+
+    def test_records_out_of_frame_order_rejected(self):
+        stream = _simple_stream(frame_count=10, t_frames=(0, 5), fg_frames=(2,))
+        (t0, t5), (f2,) = stream.templates, stream.foregrounds
+        # the assembler reproduces the writer in canonical order, so its
+        # indexes, segments and footer are consistent with any order it is given
+        assert _assemble(stream, (t0, f2, t5)) == write_stream(stream)
+        with pytest.raises(ContainerError, match="not in canonical form"):
+            read_stream(_assemble(stream, (t0, t5, f2)))
 
     def test_every_prefix_truncation_is_caught(self):
         data = write_stream(_simple_stream(frame_count=6, t_frames=(0,),

@@ -272,9 +272,9 @@ class TestRegionSetProperties:
     def test_overlap_check_is_fast_on_many_regions(self):
         # 4096 disjoint 8x8 tiles; a pairwise check makes 8.4 M comparisons
         tiles = tuple(Region(8 * (i % 64), 8 * (i // 64), 8, 8) for i in range(4096))
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         RegionSet(tiles, 512, 512)
-        assert time.perf_counter() - t0 < 0.5
+        assert time.process_time() - t0 < 0.5
 
     def test_out_of_frame_region_rejected(self):
         with pytest.raises(ValueError):
@@ -348,7 +348,7 @@ class TestMergeTransitive:
     def test_fast_on_many_regions(self):
         # 2048 disjoint 8x8 tiles, 8 pixels apart: nothing merges
         tiles = [Region(16 * (i % 64), 16 * (i // 64), 8, 8) for i in range(2048)]
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         out = fgregion._merge_transitive(tiles)
-        assert time.perf_counter() - t0 < 0.1
+        assert time.process_time() - t0 < 0.1
         assert out == sorted(tiles, key=lambda r: (r.y, r.x))

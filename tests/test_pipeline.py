@@ -262,7 +262,10 @@ class TestOneWalk:
         pre, out = decode_stream(read_stream(step_result.data))
         got = list(pipeline.Decoder(read_stream(step_result.data)).frames(14))
         assert len(got) == len(out) - 14
-        for t, (p, o) in enumerate(got, 14):
+        fg_frames = {f.frame_no for f in step_result.stream.foregrounds}
+        for t, (p, regions) in enumerate(got, 14):
+            assert (regions is None) == (t not in fg_frames), t
+            o = p if regions is None else pipeline.enhance(p, regions)
             assert p.frame_index == o.frame_index == t
             assert np.array_equal(p.planes, pre[t].planes), t
             assert np.array_equal(o.planes, out[t].planes), t
