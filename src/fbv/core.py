@@ -7,8 +7,13 @@ export. A frame's pixel data is immutable once constructed.
 
 from __future__ import annotations
 
+import contextlib
 import io
+import itertools
+import os
 import re
+import stat
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import BinaryIO
 
@@ -231,21 +236,69 @@ def _read_frame_payload(stream: BinaryIO, width: int, height: int,
     return frame_from_planes(y.copy(), cb.copy(), cr.copy(), index)
 
 
-def write_y4m(seq: VideoSequence, target: str | BinaryIO, force_444: bool = False) -> None:
-    """Serialize to YUV4MPEG2; 4:2:0 for even geometries unless force_444."""
-    own = isinstance(target, str)
-    stream: BinaryIO = open(target, "wb") if own else target  # type: ignore[assignment]
+def write_y4m(seq: VideoSequence | Iterable[Frame], target: str | BinaryIO,
+              force_444: bool = False, *, fps: tuple[int, int] | None = None) -> None:
+    """Serialize to YUV4MPEG2; 4:2:0 for even geometries unless force_444.
+
+    seq is a sequence, or an iterable of frames of one geometry whose rate fps
+    (num, den) must then be given; the iterable's frames are written one at a
+    time as it yields them. A path that names a regular file, or nothing yet,
+    is written through a temporary file beside it that replaces it only once
+    every frame is written, so a write that raises (a frame that fails to
+    decode included) leaves the path as it was. Any other path (a device, a
+    pipe, a symlink) is written in place and never removed.
+    """
+    if isinstance(seq, VideoSequence):
+        if fps is not None:
+            raise ValueError("a sequence carries its own frame rate")
+        frames, fps = iter(seq.frames), (seq.fps_num, seq.fps_den)
+    elif fps is None:
+        raise ValueError("frames without a sequence need a frame rate")
+    else:
+        frames = iter(seq)
+    first = next(frames, None)
+    if first is None:
+        raise ValueError("sequence must contain at least one frame")
+    if fps[0] <= 0 or fps[1] <= 0:
+        raise ValueError("frame rate must be positive")
+    frames = itertools.chain([first], frames)
+    if not isinstance(target, str):
+        _write_frames(target, first, frames, fps, force_444)
+        return
     try:
-        subsample = not force_444 and seq.width % 2 == 0 and seq.height % 2 == 0
-        ctag = "C420jpeg" if subsample else "C444"
-        stream.write(f"YUV4MPEG2 W{seq.width} H{seq.height} F{seq.fps_num}:{seq.fps_den} Ip A1:1 {ctag}\n"
-                     .encode("ascii"))
-        for frame in seq.frames:
-            stream.write(b"FRAME\n")
-            stream.write(frame.planes[0].tobytes())
-            for c in (1, 2):
-                plane = frame.planes[c]
-                stream.write((_downsample_420(plane) if subsample else plane).tobytes())
-    finally:
-        if own:
-            stream.close()
+        mode = os.lstat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(target, "wb") as stream:
+            _write_frames(stream, first, frames, fps, force_444)
+        return
+    part = f"{target}.{os.urandom(4).hex()}.part"
+    stream = open(part, "xb")
+    try:
+        with stream:
+            _write_frames(stream, first, frames, fps, force_444)
+        if mode is not None:
+            os.chmod(part, stat.S_IMODE(mode))
+        os.replace(part, target)
+    except BaseException:
+        with contextlib.suppress(OSError):   # never in place of the error that got here
+            os.remove(part)
+        raise
+
+
+def _write_frames(stream: BinaryIO, first: Frame, frames: Iterator[Frame],
+                  fps: tuple[int, int], force_444: bool) -> None:
+    """The header from first, then every frame of frames (first among them)."""
+    subsample = not force_444 and first.width % 2 == 0 and first.height % 2 == 0
+    ctag = "C420jpeg" if subsample else "C444"
+    stream.write(f"YUV4MPEG2 W{first.width} H{first.height} F{fps[0]}:{fps[1]} Ip A1:1 {ctag}\n"
+                 .encode("ascii"))
+    for frame in frames:
+        if frame.planes.shape != first.planes.shape:
+            raise ValueError("all frames must share one geometry")
+        stream.write(b"FRAME\n")
+        stream.write(frame.planes[0].tobytes())
+        for c in (1, 2):
+            plane = frame.planes[c]
+            stream.write((_downsample_420(plane) if subsample else plane).tobytes())

@@ -29,7 +29,12 @@ that yields frames one at a time and keeps only the last decoded foreground, as
 the next record's reference. A full decode walks from frame 0; a seek
 (decode_frame) walks from the start of the foreground run holding its frame and
 stops there. Both share one Decoder per stream, which decodes each template
-once and keeps it while the stream lives.
+once and keeps it while the stream lives. The records a seek replays before
+its frame leave checkpoints: the decoded foreground of every CHECKPOINT-th
+(8th) record, at most one frame per 8 records. A later seek into the run
+resumes from the nearest checkpoint before its frame, so on a warm decoder a
+seek decodes at most 8 records; the first seek into a run on a freshly read
+stream still replays it from its start. The stream is the same either way.
 """
 
 from __future__ import annotations
@@ -270,13 +275,22 @@ def _reconstruct(tframes, image, t: int, fg: tuple[RegionSet, Frame] | None) -> 
     return bg if fg is None else composite(fg[1], bg, fg[0].mask)
 
 
+# a seek keeps the decoded foreground of every CHECKPOINT-th record it replays
+CHECKPOINT = 8
+
+
 class Decoder:
     """One walk over one stream's records (not the stream) for full decode and seeks.
 
     Each template is decoded at most once and kept: one 3xHxW uint8 image per
     template. One whose decode raised is not kept, so later uses raise again.
-    Foreground frames are not kept: the walk holds only the last decoded one,
-    as the next record's reference, and a seek replays the run holding its frame.
+    The walk holds the last decoded foreground as the next record's reference.
+    A seek replays the run holding its frame from the run's start, or from the
+    nearest checkpoint before the frame: the decoded (regions, frame) of a record
+    whose index is a multiple of CHECKPOINT, kept when an earlier seek replayed
+    it. So a seek decodes at most CHECKPOINT records once the checkpoints below
+    its frame are kept, and a decoder holds at most one foreground frame per
+    CHECKPOINT records. A walk from frame 0 replays nothing and keeps nothing.
     """
 
     def __init__(self, stream: FbvStream) -> None:
@@ -284,6 +298,7 @@ class Decoder:
         self.foregrounds = stream.foregrounds
         self.tframes = [tr.frame_no for tr in stream.templates]
         self._decoded: dict[int, BackgroundTemplate] = {}
+        self._checkpoints: dict[int, tuple[RegionSet, Frame]] = {}   # record index -> decoded
 
     def template(self, j: int) -> Frame:
         """Template j's image, decoded on first use."""
@@ -302,10 +317,10 @@ class Decoder:
         """Yield (pre-enhancement frame, its foreground regions) for each frame from
         start on, one at a time; the regions are None on a background-only frame.
 
-        The walk begins at the first record of the foreground run holding start
-        (at start itself on a background-only frame) and decodes a record only
-        when it reaches that record's frame, so next(frames(t)) decodes nothing
-        beyond t.
+        The walk begins after the last checkpoint before start in the foreground
+        run holding start, else at the run's first record (at start itself on a
+        background-only frame), and decodes a record only when it reaches that
+        record's frame, so next(frames(t)) decodes nothing beyond t.
         """
         start = operator.index(start)
         n = self.header.frame_count
@@ -313,13 +328,17 @@ class Decoder:
             raise ContainerError(f"frame {start} out of range 0..{n - 1}")
         fgs = self.foregrounds
         i = bisect_left(fgs, start, key=lambda r: r.frame_no)   # first record from start on
-        t = start
+        t, fg = start, None
         while 0 < i < len(fgs) and fgs[i].frame_no == t and fgs[i - 1].frame_no == t - 1:
+            fg = self._checkpoints.get(i - 1)
+            if fg is not None:
+                break
             i, t = i - 1, t - 1
-        fg = None
         for t in range(t, n):
             if i < len(fgs) and fgs[i].frame_no == t:
                 fg = _decode_record(self.header, fgs[i], None if fg is None else fg[1])
+                if t < start and i % CHECKPOINT == 0:
+                    self._checkpoints[i] = fg
                 i += 1
             else:
                 fg = None
@@ -344,6 +363,12 @@ def _output(pre: Frame, regions: RegionSet | None) -> Frame:
     return pre if regions is None else enhance(pre, regions)
 
 
+def output_frames(stream: FbvStream) -> Iterator[Frame]:
+    """Full decode, one output frame at a time; none is kept once yielded."""
+    for pre, regions in _decoder(stream).frames():
+        yield _output(pre, regions)
+
+
 def decode_stream(stream: FbvStream) -> tuple[list[Frame], list[Frame]]:
     """Full-sequence decode. Returns (pre-enhancement, output) frame lists."""
     pre, out = [], []
@@ -365,7 +390,8 @@ def decode_bytes(data: bytes) -> DecodeResult:
 
 def decode_frame(stream: FbvStream, frame_no: int) -> Frame:
     """Random access: decode one frame, bit-identical to the sequential path.
-    The stream's templates are decoded once and kept while the stream lives."""
+    The stream's templates are decoded once, and they and the foreground
+    checkpoints of earlier seeks are kept while the stream lives."""
     return _output(*next(_decoder(stream).frames(frame_no)))
 
 

@@ -1,6 +1,8 @@
 """Command-line behavior: workflows, precedence, exit codes."""
 
 import json
+import os
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -135,6 +137,29 @@ class TestDecode:
         for x, y in zip(a.frames, pre):
             assert np.array_equal(x.planes, y.planes)
 
+    def test_decode_streams_frames_to_the_file(self, work, tmp_path):
+        # without --reference each frame is written as it decodes: the output is the
+        # collected decode's, and memory does not grow with the clip's length
+        d, _, fbv = work
+        decoded = decode_bytes(fbv.read_bytes())
+        out, want = tmp_path / "out.y4m", tmp_path / "want.y4m"
+        for extra, frames in (([], decoded.video.frames), (["--no-enhance"], decoded.pre_enhance)):
+            assert main(["decode", "-i", str(fbv), "-o", str(out)] + extra) == EXIT_OK
+            write_y4m(replace(decoded.video, frames=frames), str(want), force_444=True)
+            assert out.read_bytes() == want.read_bytes()
+        src48, fbv48 = tmp_path / "src48.y4m", tmp_path / "clip48.fbv"
+        write_y4m(moving_square_video(h=48, w=48, n=48), str(src48), force_444=True)
+        assert main(["encode", "-i", str(src48), "-o", str(fbv48), "--init-frames", "8"]) == EXIT_OK
+        peaks = []
+        for clip in (fbv, fbv48):
+            tracemalloc.start()
+            try:
+                assert main(["decode", "-i", str(clip), "-o", str(out)]) == EXIT_OK
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 0.15 * peaks[0], peaks
+
     @pytest.mark.parametrize("frames,size", [(10, 48), (16, 32)])
     def test_reference_that_does_not_fit_is_a_usage_error(self, work, tmp_path,
                                                            frames, size):
@@ -221,6 +246,31 @@ class TestExitCodes:
         out = tmp_path / "out.y4m"
         assert main(["decode", "-i", str(bad), "-o", str(out)]) == EXIT_FORMAT
         assert not out.exists()
+
+    def test_decode_failing_partway_leaves_no_output(self, work, tmp_path):
+        # frames before the damaged record are written first; the failure removes them
+        _, _, fbv = work
+        stream = read_stream(fbv.read_bytes())
+        records = list(stream.foregrounds)
+        assert records[-1].frame_no > 0
+        records[-1] = replace(records[-1], residual=b"\x00")
+        bad = tmp_path / "bad.fbv"
+        bad.write_bytes(write_stream(replace(stream, foregrounds=tuple(records))))
+        out = tmp_path / "out.y4m"
+        for extra in ([], ["--no-enhance"]):
+            assert main(["decode", "-i", str(bad), "-o", str(out)] + extra) == EXIT_FORMAT
+            assert not out.exists()
+        # an output that was there is left as it was
+        out.write_bytes(b"earlier output")
+        assert main(["decode", "-i", str(bad), "-o", str(out)]) == EXIT_FORMAT
+        assert out.read_bytes() == b"earlier output"
+        # an output that is not a regular file (here a link to the null device) is
+        # written in place and never removed, and the decode's error stays exit 3
+        link = tmp_path / "null.y4m"
+        link.symlink_to(os.devnull)
+        assert main(["decode", "-i", str(bad), "-o", str(link)]) == EXIT_FORMAT
+        assert link.is_symlink() and os.path.exists(os.devnull)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.fbv", "null.y4m", "out.y4m"]
 
     def test_bad_gamma_flag(self, work, tmp_path):
         _, src, _ = work

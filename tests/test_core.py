@@ -134,6 +134,73 @@ class TestY4m:
         assert len(opened) == 2
         assert all(fh.closed for fh in opened)
 
+    def test_frames_written_as_they_come(self, tmp_path):
+        seq = self._sequence()
+        whole, streamed = io.BytesIO(), io.BytesIO()
+        write_y4m(seq, whole)
+        pulled = []
+
+        def frames():
+            for f in seq.frames:
+                pulled.append(streamed.tell())     # bytes written before this frame
+                yield f
+
+        write_y4m(frames(), streamed, fps=(30, 1))
+        assert streamed.getvalue() == whole.getvalue()
+        assert pulled[0] == 0 and pulled[1] < pulled[2]
+        for bad, match in (([], "at least one frame"), ([_frame(16, 16), _frame(16, 32)],
+                                                         "one geometry")):
+            path = tmp_path / "bad.y4m"
+            with pytest.raises(ValueError, match=match):
+                write_y4m(iter(bad), str(path), fps=(30, 1))
+            assert not path.exists()
+        for frames, fps, match in ((seq.frames, (0, 1), "must be positive"),
+                                   (seq.frames, None, "need a frame rate"),
+                                   (seq, (30, 1), "carries its own frame rate")):
+            with pytest.raises(ValueError, match=match):
+                write_y4m(frames, io.BytesIO(), fps=fps)
+
+    def test_failed_write_removes_the_partial_file(self, tmp_path):
+        path = tmp_path / "cut.y4m"
+
+        def frames():
+            yield from self._sequence().frames
+            raise VideoFormatError("damaged frame 3")
+
+        with pytest.raises(VideoFormatError, match="damaged frame 3"):
+            write_y4m(frames(), str(path), fps=(30, 1))
+        assert not path.exists()
+        # a file that was there is left as it was, and no temporary file is left beside it
+        path.write_bytes(b"kept")
+        with pytest.raises(VideoFormatError, match="damaged frame 3"):
+            write_y4m(frames(), str(path), fps=(30, 1))
+        assert path.read_bytes() == b"kept"
+        assert [p.name for p in tmp_path.iterdir()] == ["cut.y4m"]
+
+    def test_rewrite_keeps_the_file_mode(self, tmp_path):
+        path = tmp_path / "out.y4m"
+        path.write_bytes(b"old")
+        path.chmod(0o640)
+        write_y4m(self._sequence(), str(path))
+        assert path.stat().st_mode & 0o777 == 0o640
+        assert read_y4m(str(path)).frames[0].width == self._sequence().width
+
+    def test_a_path_that_is_not_a_regular_file_is_written_in_place(self, tmp_path):
+        target, link = tmp_path / "target.y4m", tmp_path / "link.y4m"
+        target.write_bytes(b"")
+        link.symlink_to(target)
+
+        def frames():
+            yield from self._sequence().frames
+            raise VideoFormatError("damaged frame 3")
+
+        with pytest.raises(VideoFormatError, match="damaged frame 3"):
+            write_y4m(frames(), str(link), fps=(30, 1))
+        assert link.is_symlink()                     # not removed, written through
+        assert target.read_bytes().startswith(b"YUV4MPEG2 ")
+        write_y4m(self._sequence(), str(link))
+        assert link.is_symlink() and len(read_y4m(str(target)).frames) == 3
+
     def test_bad_magic_rejected(self):
         from fbv.core import VideoFormatError
         with pytest.raises(VideoFormatError):

@@ -280,6 +280,74 @@ class TestOneWalk:
         assert np.array_equal(got.planes, decode_frame(stream, 20).planes)
 
 
+def _stratified(n: int, slices: int, seed: int) -> list[int]:
+    """The middle frame of each of `slices` equal slices of 0..n-1, in seeded order."""
+    centres = [(2 * k + 1) * n // (2 * slices) for k in range(slices)]
+    return np.random.default_rng(seed).permutation(centres).tolist()
+
+
+class TestCheckpoints:
+    """A seek keeps every CHECKPOINT-th record it replays, and later seeks resume there."""
+
+    @pytest.mark.parametrize("which", ["square", "step"])
+    def test_any_seek_order_on_one_stream_matches_sequential(self, sq_result, step_result,
+                                                            which):
+        data = {"square": sq_result, "step": step_result}[which].data
+        _, seq = decode_stream(read_stream(data))
+        n = len(seq)
+        stream = read_stream(data)
+        orders = [np.random.default_rng(5).permutation(n).tolist(), _stratified(n, 6, 7),
+                  np.random.default_rng(9).permutation(n).tolist(), _stratified(n, 4, 1)]
+        for order in orders:
+            for t in order:
+                assert np.array_equal(decode_frame(stream, t).planes, seq[t].planes), t
+
+    def test_warm_seek_decodes_at_most_k_records(self, sq_result, monkeypatch):
+        stream = read_stream(sq_result.data)
+        records = len(stream.foregrounds)
+        n = stream.header.frame_count
+        assert [f.frame_no for f in stream.foregrounds] == list(range(n))   # one run
+        decode_stream(stream)
+        kept = pipeline._decoder(stream)._checkpoints
+        assert kept == {}                   # a walk from frame 0 replays nothing
+        for t in np.random.default_rng(2).permutation(n).tolist():         # warm-up
+            decode_frame(stream, t)
+        assert sorted(kept) == list(range(0, records - 1, pipeline.CHECKPOINT))
+        calls = _counting(monkeypatch, "decode_residual", 0)
+        per_seek = []
+        for t in np.random.default_rng(4).permutation(n).tolist() + _stratified(n, 5, 0):
+            calls.clear()
+            decode_frame(stream, t)
+            per_seek.append(len(calls))
+        assert max(per_seek) == pipeline.CHECKPOINT
+        assert len(kept) <= -(-records // pipeline.CHECKPOINT)
+
+    def test_failed_record_keeps_no_checkpoint(self, sq_result, monkeypatch):
+        """The square stream with the residual of its record at checkpoint index 2K
+        damaged: seeks through it raise alike, keep no checkpoint for it and resume
+        below it."""
+        stream = read_stream(sq_result.data)
+        records = list(stream.foregrounds)
+        k = pipeline.CHECKPOINT
+        r = 2 * k                                # the failing record, in a run from record 0
+        assert [f.frame_no for f in records] == list(range(len(records))) and r + 1 < len(records)
+        records[r] = replace(records[r], residual=b"\x00")
+        stream = read_stream(write_stream(replace(stream, foregrounds=tuple(records))))
+        calls = _counting(monkeypatch, "decode_residual", 0)
+        errors, counts = [], []
+        for _ in range(2):
+            calls.clear()
+            with pytest.raises((ContainerError, EntropyDecodeError)) as e:
+                decode_frame(stream, r + 1)
+            errors.append(e.type)
+            counts.append(len(calls))
+        assert errors[0] is errors[1]
+        assert sorted(pipeline._decoder(stream)._checkpoints) == [0, k]
+        # the first seek replays the run up to r, the second resumes after the
+        # checkpoint at k; both call the residual decoder for r itself
+        assert counts == [r + 1, r - k]
+
+
 class TestTemplateCache:
     """decode_frame decodes each template once per open stream and keeps it."""
 
