@@ -8,8 +8,8 @@ in an indexed container built for random access.
 
 from .bgmodel import (GmmParams, GmmState, SeparationResult, background_estimate,
                       gmm_init, gmm_update)
-from .bgtemplate import (BackgroundTemplate, TemplateChain, decode_template,
-                         encode_template, interpolated_background)
+from .bgtemplate import (TemplateChain, decode_template, encode_template,
+                         interpolated_background)
 from .container import (ContainerError, FbvStream, ForegroundRecord,
                         StreamHeader, TemplateRecord, build_segments, budget_of,
                         read_stream, write_stream)

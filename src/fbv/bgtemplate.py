@@ -1,13 +1,14 @@
-"""Background template chain: gated updates, residual coding, interpolation.
+"""Background template chain: residual coding and interpolation.
 
-A new template is admitted when the luma MS-SSIM between the current
-template and the candidate background drops below the updating threshold
-gamma (default 0.98). Templates are residual-coded against the previous
-reconstructed template; the first template (and periodic anchors) code
-against a constant mid-gray 128 plane so the dependency chain can be
-re-entered without replaying the whole stream. Template coding always uses
-a fine fixed quality point: background fidelity is prioritized over rate
-because every interpolated frame inherits the template's errors.
+The encoder's gate (pipeline.encode) admits a new template when the luma
+MS-SSIM between the current template and the candidate background drops
+below the updating threshold gamma (default 0.98). Templates are
+residual-coded against the previous reconstructed template; the first
+template (and periodic anchors) code against a constant mid-gray 128 plane
+so the dependency chain can be re-entered without replaying the whole
+stream. Template coding always uses a fine fixed quality point: background
+fidelity is prioritized over rate because every interpolated frame inherits
+the template's errors.
 
 Backgrounds between two templates are never coded. Both sides recompute
 them by per-pixel linear interpolation
@@ -24,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Frame, FbvError
+from .container import TemplateRecord
+from .core import Frame
 from .residual import QualityPoint, decode_residual, encode_residual
 
 TEMPLATE_QUALITY = QualityPoint(1.0, 6)
@@ -33,43 +35,29 @@ DEFAULT_GAMMA = 0.98
 ANCHOR_INTERVAL = 16
 
 
-@dataclass(frozen=True)
-class BackgroundTemplate:
-    """One stored template: reconstructed image plus its coded payload."""
-
-    frame_index: int
-    image: Frame
-    payload: bytes
-    anchor: bool
-
-
-def _base_planes(prev: BackgroundTemplate | None, shape: tuple[int, ...]) -> np.ndarray:
+def _base_planes(prev: Frame | None, shape: tuple[int, ...]) -> np.ndarray:
     if prev is None:
         return np.full(shape, ANCHOR_VALUE, dtype=np.int64)
-    return prev.image.planes.astype(np.int64)
+    return prev.planes.astype(np.int64)
 
 
-def _reconstruct(prev: BackgroundTemplate | None, base: np.ndarray, decoded: np.ndarray,
-                 payload: bytes, frame_index: int) -> BackgroundTemplate:
-    rec = np.clip(base + decoded, 0, 255).astype(np.uint8)
-    return BackgroundTemplate(frame_index=frame_index, image=Frame(rec, frame_index),
-                              payload=payload, anchor=prev is None)
-
-
-def encode_template(prev: BackgroundTemplate | None, candidate: Frame) -> BackgroundTemplate:
-    """Code candidate against prev (or the mid-gray anchor when prev is None)."""
+def encode_template(prev: Frame | None, candidate: Frame) -> tuple[bytes, Frame]:
+    """Code candidate against the previous template's image prev (the mid-gray
+    anchor plane when prev is None); returns the payload and the image both
+    sides rebuild from it."""
     base = _base_planes(prev, candidate.planes.shape)
     residual = candidate.planes.astype(np.int64) - base
     payload, (decoded,) = encode_residual([residual], TEMPLATE_QUALITY)
-    return _reconstruct(prev, base, decoded, payload, candidate.frame_index)
+    rec = np.clip(base + decoded, 0, 255).astype(np.uint8)
+    return payload, Frame(rec, candidate.frame_index)
 
 
-def decode_template(prev: BackgroundTemplate | None, payload: bytes,
-                    frame_index: int, height: int, width: int) -> BackgroundTemplate:
+def decode_template(prev: Frame | None, payload: bytes,
+                    frame_index: int, height: int, width: int) -> Frame:
     """Decoder mirror of encode_template; bit-identical reconstruction."""
     base = _base_planes(prev, (3, height, width))
     (decoded,) = decode_residual(payload, [(height, width)], TEMPLATE_QUALITY)
-    return _reconstruct(prev, base, decoded, payload, frame_index)
+    return Frame(np.clip(base + decoded, 0, 255).astype(np.uint8), frame_index)
 
 
 def interpolated_background(b_prev: Frame, b_next: Frame, m: int, j: int) -> Frame:
@@ -89,32 +77,17 @@ def interpolated_background(b_prev: Frame, b_next: Frame, m: int, j: int) -> Fra
 
 @dataclass
 class TemplateChain:
-    """Ordered templates plus the gate threshold that grew the chain."""
+    """The encoder's templates: the records the stream carries and the images
+    both sides rebuild from them, one per record."""
 
-    gamma: float = DEFAULT_GAMMA
-    anchor_interval: int = ANCHOR_INTERVAL
-    templates: list[BackgroundTemplate] = field(default_factory=list)
+    anchor_interval: int
+    records: list[TemplateRecord] = field(default_factory=list)
+    images: list[Frame] = field(default_factory=list)
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.gamma < 1.0):
-            raise ValueError("gamma must be in (0, 1)")
-        if self.anchor_interval < 1:
-            raise ValueError("anchor_interval must be >= 1")
-
-    @property
-    def current(self) -> BackgroundTemplate | None:
-        return self.templates[-1] if self.templates else None
-
-    def admit(self, candidate: Frame, score: float) -> BackgroundTemplate | None:
-        """Gate the candidate by score, its MS-SSIM against the current template
-        (an empty chain admits any); append and return a new template if admitted."""
-        cur = self.current
-        if cur is not None:
-            if not score < self.gamma:
-                return None
-            if candidate.frame_index <= cur.frame_index:
-                raise FbvError("template frame indices must increase strictly")
-        use_anchor = len(self.templates) % self.anchor_interval == 0
-        tmpl = encode_template(None if use_anchor else cur, candidate)
-        self.templates.append(tmpl)
-        return tmpl
+    def admit(self, candidate: Frame) -> None:
+        """Code candidate as the next template; every anchor_interval-th
+        template (the first included) is an anchor, coded against mid-gray."""
+        anchor = len(self.records) % self.anchor_interval == 0
+        payload, image = encode_template(None if anchor else self.images[-1], candidate)
+        self.records.append(TemplateRecord(candidate.frame_index, anchor, payload))
+        self.images.append(image)

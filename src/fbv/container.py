@@ -38,7 +38,6 @@ that comparison, not parsed.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import FbvError, MIN_DIM, Region
@@ -126,7 +125,11 @@ class FbvStream:
     header: StreamHeader
     templates: tuple[TemplateRecord, ...]
     foregrounds: tuple[ForegroundRecord, ...]
-    segments: tuple[tuple[int, int], ...]
+
+    @property
+    def segments(self) -> tuple[tuple[int, int], ...]:
+        """The non-foreground runs, worked out from the foreground records."""
+        return build_segments(self.header.frame_count, (f.frame_no for f in self.foregrounds))
 
     def validate(self) -> None:
         h = self.header
@@ -154,22 +157,6 @@ class FbvStream:
                 RegionSet(f.regions, h.height, h.width)
             except ValueError as e:
                 raise ContainerError(f"invalid region list: {e}") from e
-        # sorted intervals: the cost follows the record and segment counts,
-        # never the frame count the header claims
-        fg_frames = [f.frame_no for f in self.foregrounds]
-        prev_end = -1
-        for start, end in sorted(self.segments):
-            if not (0 <= start <= end < h.frame_count):
-                raise ContainerError("segment range out of bounds")
-            if start <= prev_end:
-                raise ContainerError("segments overlap")
-            prev_end = end
-            i = bisect_left(fg_frames, start)
-            if i < len(fg_frames) and fg_frames[i] <= end:
-                raise ContainerError("frame both in segment and foreground index")
-        # all disjoint and in range: complete iff the sizes add up
-        if len(fg_frames) + sum(e - s + 1 for s, e in self.segments) != h.frame_count:
-            raise ContainerError("frame coverage incomplete")
 
 
 def build_segments(frame_count: int, fg_frames) -> tuple[tuple[int, int], ...]:
@@ -309,8 +296,7 @@ def read_stream(data: bytes) -> FbvStream:
         else:
             raise ContainerError(f"unknown record tag 0x{tag:02x}")
 
-    segments = build_segments(header.frame_count, (f.frame_no for f in foregrounds))
-    stream = FbvStream(header, tuple(templates), tuple(foregrounds), segments)
+    stream = FbvStream(header, tuple(templates), tuple(foregrounds))
     if write_stream(stream) != data:
         raise ContainerError("stream is not in canonical form: "
                              "its bytes differ from the re-encoded records")

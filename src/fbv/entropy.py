@@ -26,6 +26,7 @@ _BOT = 1 << 24
 _PROB_BITS = 11
 _PROB_SCALE = 1 << _PROB_BITS
 _HALVE_AT = 1 << 14
+MAX_EG0_PREFIX = 40      # an exp-Golomb prefix longer than this means a corrupt payload
 
 
 class EntropyDecodeError(Exception):
@@ -182,7 +183,7 @@ class RangeDecoder:
 
 
 def encode_unary_eg0(enc: RangeEncoder, value: int, ctx_prefix: int, ctx_suffix: int,
-                     prefix_span: int = 1) -> None:
+                     prefix_span: int) -> None:
     """Order-0 exp-Golomb binarization of value >= 0.
 
     Prefix: k one-bits then a zero, where k = bit_length(value + 1) - 1;
@@ -200,11 +201,11 @@ def encode_unary_eg0(enc: RangeEncoder, value: int, ctx_prefix: int, ctx_suffix:
 
 
 def decode_unary_eg0(dec: RangeDecoder, ctx_prefix: int, ctx_suffix: int,
-                     prefix_span: int = 1, max_k: int = 40) -> int:
+                     prefix_span: int) -> int:
     k = 0
     while dec.decode(ctx_prefix + min(k, prefix_span - 1)):
         k += 1
-        if k > max_k:
+        if k > MAX_EG0_PREFIX:
             raise EntropyDecodeError("exp-Golomb prefix overrun: payload corrupt")
     n = 1
     for _ in range(k):

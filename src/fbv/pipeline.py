@@ -51,11 +51,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bgmodel import GmmParams, background_estimate, gmm_init, gmm_update
-from .bgtemplate import (ANCHOR_INTERVAL, DEFAULT_GAMMA, BackgroundTemplate, TemplateChain,
-                         decode_template, interpolated_background)
+from .bgtemplate import (ANCHOR_INTERVAL, DEFAULT_GAMMA, TemplateChain, decode_template,
+                         interpolated_background)
 from .container import (GAMMA_SCALE, ContainerError, FbvStream, ForegroundRecord,
-                        StreamHeader, TemplateRecord, build_segments, budget_of,
-                        foreground_payload, read_stream, template_payload, write_stream)
+                        StreamHeader, budget_of, foreground_payload, read_stream,
+                        template_payload, write_stream)
 from .core import ConfigError, Frame, VideoSequence
 from .decode import composite, enhance
 from .entropy import BitBudgetReport
@@ -103,7 +103,10 @@ class EncoderConfig:
         # constructing each part checks its fields, so bad values fail here
         self.quality
         self.gmm_params
-        TemplateChain(self.gamma, self.anchor_interval)
+        if not (0.0 < self.gamma < 1.0):
+            raise ValueError("gamma must be in (0, 1)")
+        if self.anchor_interval < 1:
+            raise ValueError("anchor_interval must be >= 1")
         if not (0 < round(self.gamma * GAMMA_SCALE) < GAMMA_SCALE):
             raise ValueError(f"gamma must stay inside (0, 1) at 1/{GAMMA_SCALE} precision")
 
@@ -167,7 +170,12 @@ def encode(video: VideoSequence, config: EncoderConfig = EncoderConfig()) -> Enc
             f"sequence has {n} frames but model initialization needs "
             f"{config.init_frames}")
     q = config.quality
-    gamma_fp = round(config.gamma * GAMMA_SCALE)
+    # every header field is known up front, so one the container cannot carry
+    # fails before any coding
+    header = StreamHeader(
+        width=w, height=h, fps_num=video.fps_num, fps_den=video.fps_den, frame_count=n,
+        levels=q.levels, delta_fp=q.delta_fp, gamma_fp=round(config.gamma * GAMMA_SCALE))
+    gamma = header.gamma    # gate against the gamma the header records, not the setting
     # the anchor is coded before frame 0's gate; seeding keeps the rows in loop order
     stage_s = {"separation": 0.0, "gate": 0.0}
 
@@ -175,10 +183,9 @@ def encode(video: VideoSequence, config: EncoderConfig = EncoderConfig()) -> Enc
     with _timed(stage_s, "separation"):
         state = gmm_init(frames[:config.init_frames], config.gmm_params)
         anchor = Frame(background_estimate(state).planes, 0)
-    # gate against the gamma the header records, not the unrounded setting
-    chain = TemplateChain(gamma=gamma_fp / GAMMA_SCALE, anchor_interval=config.anchor_interval)
+    chain = TemplateChain(config.anchor_interval)
     with _timed(stage_s, "template coding"):
-        chain.admit(anchor, score=0.0)
+        chain.admit(anchor)
 
     # pass two: code every frame with the trained state carried forward
     gate_trace: list[float] = []
@@ -191,11 +198,11 @@ def encode(video: VideoSequence, config: EncoderConfig = EncoderConfig()) -> Enc
             state, sep = gmm_update(state, cur)
         candidate = Frame(sep.background.planes, t)
         with _timed(stage_s, "gate"):
-            score = ms_ssim(chain.current.image, candidate)
+            score = ms_ssim(chain.images[-1], candidate)
         gate_trace.append(score)
-        if t > chain.current.frame_index:    # the anchor already holds frame 0
+        if t > 0 and score < gamma:          # the anchor already holds frame 0
             with _timed(stage_s, "template coding"):
-                chain.admit(candidate, score)
+                chain.admit(candidate)
         with _timed(stage_s, "region extraction"):
             rs_cur = fp(cur, sep.points)
             used = combine_regions(rs_prev, rs_cur)
@@ -220,23 +227,16 @@ def encode(video: VideoSequence, config: EncoderConfig = EncoderConfig()) -> Enc
         fg_recon[t] = (used, prev_fg)
 
     with _timed(stage_s, "container"):
-        header = StreamHeader(
-            width=w, height=h, fps_num=video.fps_num, fps_den=video.fps_den,
-            frame_count=n, levels=q.levels, delta_fp=q.delta_fp,
-            gamma_fp=gamma_fp)
-        templates = tuple(TemplateRecord(bt.frame_index, bt.anchor, bt.payload)
-                          for bt in chain.templates)
-        stream = FbvStream(header, templates,
-                           tuple(ForegroundRecord(*c) for c in coded),
-                           build_segments(n, [c[0] for c in coded]))
+        stream = FbvStream(header, tuple(chain.records),
+                           tuple(ForegroundRecord(*c) for c in coded))
         data = write_stream(stream)
         budget = budget_of(stream)
 
     # encoder-side reconstructions (pre-enhancement), for the closed-loop check
     with _timed(stage_s, "reconstruction"):
-        tframes = [bt.frame_index for bt in chain.templates]
-        recon = tuple(_reconstruct(tframes, lambda j: chain.templates[j].image, t,
-                                   fg_recon.get(t)) for t in range(n))
+        tframes = [tr.frame_no for tr in chain.records]
+        recon = tuple(_reconstruct(tframes, chain.images.__getitem__, t, fg_recon.get(t))
+                      for t in range(n))
     return EncodeResult(data=data, stream=stream, budget=budget, stage_s=stage_s,
                         gate_trace=tuple(gate_trace), recon=recon)
 
@@ -297,7 +297,7 @@ class Decoder:
         self.header, self.templates = stream.header, stream.templates
         self.foregrounds = stream.foregrounds
         self.tframes = [tr.frame_no for tr in stream.templates]
-        self._decoded: dict[int, BackgroundTemplate] = {}
+        self._decoded: dict[int, Frame] = {}
         self._checkpoints: dict[int, tuple[RegionSet, Frame]] = {}   # record index -> decoded
 
     def template(self, j: int) -> Frame:
@@ -311,7 +311,7 @@ class Decoder:
                 tr = self.templates[i]
                 prev = None if tr.anchor else self._decoded[i - 1]
                 self._decoded[i] = decode_template(prev, tr.residual, tr.frame_no, h, w)
-        return self._decoded[j].image
+        return self._decoded[j]
 
     def frames(self, start: int = 0) -> Iterator[tuple[Frame, RegionSet | None]]:
         """Yield (pre-enhancement frame, its foreground regions) for each frame from

@@ -150,8 +150,8 @@ class QualityPoint:
     levels: int
 
     def __post_init__(self) -> None:
-        if not (self.delta_q > 0):
-            raise ValueError("delta_q must be > 0")
+        if not (0 < self.delta_q < float("inf")):
+            raise ValueError("delta_q must be finite and > 0")
         if not (1 <= self.levels <= 12):
             raise ValueError("levels must be in 1..12")
         if not (1 <= self.delta_fp <= 0xFFFF):

@@ -1,4 +1,4 @@
-"""Template chain: gating, chained residual coding, exact interpolation."""
+"""Template chain: chained residual coding, the gate's outcomes, exact interpolation."""
 
 from fractions import Fraction
 
@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbv.bgtemplate import (ANCHOR_VALUE, TemplateChain, decode_template,
-                            encode_template, interpolated_background)
-from fbv.container import FbvStream, StreamHeader, build_segments, write_stream
+from fbv.bgtemplate import (ANCHOR_INTERVAL, ANCHOR_VALUE, DEFAULT_GAMMA, TemplateChain,
+                            decode_template, encode_template, interpolated_background)
+from fbv.container import ContainerError, FbvStream, StreamHeader, write_stream
 from fbv.core import FbvError, Frame
 from fbv.metrics import ms_ssim
-from fbv.pipeline import _bracket
+from fbv.pipeline import EncoderConfig, _bracket
 
 from conftest import smooth_texture
 
@@ -26,11 +26,9 @@ def _shift(frame, amount, index):
     return _frame(planes, index)
 
 
-def _gate(chain, candidate):
-    """chain.admit with the score encode passes: MS-SSIM against the current
-    template (an empty chain admits whatever the score)."""
-    score = ms_ssim(chain.current.image, candidate) if chain.current else 0.0
-    return chain.admit(candidate, score)
+def _header(frame_count):
+    return StreamHeader(width=64, height=64, fps_num=25, fps_den=1, frame_count=frame_count,
+                        levels=1, delta_fp=2048, gamma_fp=9800)
 
 
 @pytest.fixture(scope="module")
@@ -42,49 +40,45 @@ class TestCoding:
     def test_anchor_is_lossless(self):
         rng = np.random.default_rng(2)
         cand = _frame(rng.integers(0, 256, (3, 64, 64)), 7)
-        t = encode_template(None, cand)
-        assert t.anchor
-        assert t.frame_index == 7
-        assert np.array_equal(t.image.planes, cand.planes)
+        _, image = encode_template(None, cand)
+        assert image.frame_index == 7
+        assert np.array_equal(image.planes, cand.planes)
 
     def test_decoder_mirrors_encoder_chain(self, textured):
         c2 = _shift(textured, 25, 40)
         c3 = _shift(textured, -13, 90)
-        t1 = encode_template(None, textured)
-        t2 = encode_template(t1, c2)
-        t3 = encode_template(t2, c3)
+        p1, i1 = encode_template(None, textured)
+        p2, i2 = encode_template(i1, c2)
+        p3, i3 = encode_template(i2, c3)
         h = w = 64
-        d1 = decode_template(None, t1.payload, 0, h, w)
-        d2 = decode_template(d1, t2.payload, 40, h, w)
-        d3 = decode_template(d2, t3.payload, 90, h, w)
-        for t, d in ((t1, d1), (t2, d2), (t3, d3)):
-            assert np.array_equal(d.image.planes, t.image.planes)
-            assert d.frame_index == t.frame_index
-            assert d.anchor == t.anchor
+        d1 = decode_template(None, p1, 0, h, w)
+        d2 = decode_template(d1, p2, 40, h, w)
+        d3 = decode_template(d2, p3, 90, h, w)
+        for image, d in ((i1, d1), (i2, d2), (i3, d3)):
+            assert np.array_equal(d.planes, image.planes)
+            assert d.frame_index == image.frame_index
 
     def test_unchanged_image_codes_tiny(self, textured):
-        t1 = encode_template(None, textured)
-        t2 = encode_template(t1, _frame(textured.planes, 10))
-        assert np.array_equal(t2.image.planes, t1.image.planes)
-        assert len(t2.payload) < len(t1.payload) / 10
+        p1, i1 = encode_template(None, textured)
+        p2, i2 = encode_template(i1, _frame(textured.planes, 10))
+        assert np.array_equal(i2.planes, i1.planes)
+        assert len(p2) < len(p1) / 10
 
     def test_off_grid_dimensions_round_trip(self):
         rng = np.random.default_rng(3)
         cand = _frame(rng.integers(0, 256, (3, 37, 29)), 0)
-        t = encode_template(None, cand)
-        d = decode_template(None, t.payload, 0, 37, 29)
-        assert np.array_equal(d.image.planes, t.image.planes)
+        payload, image = encode_template(None, cand)
+        d = decode_template(None, payload, 0, 37, 29)
+        assert np.array_equal(d.planes, image.planes)
 
     def test_payload_is_deterministic(self, textured):
-        a = encode_template(None, textured)
-        b = encode_template(None, textured)
-        assert a.payload == b.payload
+        assert encode_template(None, textured)[0] == encode_template(None, textured)[0]
 
     def test_anchor_base_is_mid_gray(self):
         flat = _frame(np.full((3, 16, 16), ANCHOR_VALUE), 0)
-        t = encode_template(None, flat)
+        payload, _ = encode_template(None, flat)
         # zero residual against the anchor plane
-        assert len(t.payload) < 20
+        assert len(payload) < 20
 
 
 class TestInterpolation:
@@ -127,103 +121,96 @@ class TestInterpolation:
 
 
 class TestGate:
-    """The gate the encoder runs: TemplateChain.admit against the current template."""
-
-    @staticmethod
-    def _admit(current, candidate):
-        chain = TemplateChain()
-        _gate(chain, current)
-        return _gate(chain, candidate)
+    """The gate encode runs: a candidate whose MS-SSIM against the current
+    template falls below gamma becomes the next template."""
 
     def test_identical_image_never_updates(self, textured):
-        assert self._admit(textured, _frame(textured.planes, 1)) is None
+        assert ms_ssim(textured, _frame(textured.planes, 1)) >= DEFAULT_GAMMA
 
     def test_large_brightness_shift_updates(self, textured):
         for amount in (40, -40):
-            assert self._admit(textured, _shift(textured, amount, 1)) is not None
+            assert ms_ssim(textured, _shift(textured, amount, 1)) < DEFAULT_GAMMA
 
     def test_mild_noise_stays(self, textured):
         rng = np.random.default_rng(5)
         noise = rng.integers(-1, 2, textured.planes.shape)
         near = _frame(np.clip(textured.planes.astype(np.int64) + noise, 0, 255), 1)
-        assert self._admit(textured, near) is None
+        assert ms_ssim(textured, near) >= DEFAULT_GAMMA
 
     def test_gamma_validation(self):
         for gamma in (0.0, 1.0):
-            with pytest.raises(ValueError):
-                TemplateChain(gamma=gamma)
+            with pytest.raises(ValueError, match="gamma"):
+                EncoderConfig(gamma=gamma)
 
     def test_dimension_mismatch(self, textured):
         other = _frame(np.zeros((3, 32, 32)), 1)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            self._admit(textured, other)
+            ms_ssim(textured, other)
 
 
 class TestChain:
     def test_first_candidate_always_admitted_as_anchor(self, textured):
-        chain = TemplateChain()
-        assert chain.current is None
-        t = _gate(chain, textured)
-        assert t is not None and t.anchor
-        assert chain.current is t
+        chain = TemplateChain(ANCHOR_INTERVAL)
+        chain.admit(textured)
+        (record,) = chain.records
+        assert record.anchor and record.frame_no == 0
+        payload, image = encode_template(None, textured)
+        assert record.residual == payload
+        assert np.array_equal(chain.images[0].planes, image.planes)
 
     def test_gate_blocks_unchanged_candidate(self, textured):
-        chain = TemplateChain()
-        _gate(chain, textured)
-        assert _gate(chain, _frame(textured.planes, 5)) is None
-        assert len(chain.templates) == 1
+        # the gate compares against the rebuilt image, not the candidate that was
+        # coded: an unchanged scene must still pass it, or every frame re-admits
+        chain = TemplateChain(ANCHOR_INTERVAL)
+        chain.admit(textured)
+        assert ms_ssim(chain.images[-1], _frame(textured.planes, 5)) >= DEFAULT_GAMMA
 
     def test_anchor_cadence(self, textured):
         chain = TemplateChain(anchor_interval=2)
-        frames = [textured]
-        for i in range(1, 4):
-            frames.append(_shift(textured, 40 * i * (-1) ** i, i * 10))
-        flags = []
-        for f in frames:
-            t = _gate(chain, f)
-            assert t is not None
-            flags.append(t.anchor)
-        assert flags == [True, False, True, False]
+        for i in range(4):
+            chain.admit(_shift(textured, 40 * i * (-1) ** i, i * 10))
+        assert [r.anchor for r in chain.records] == [True, False, True, False]
+        assert [r.frame_no for r in chain.records] == [0, 10, 20, 30]
+        # a chained template codes against the image of the one before it
+        payload, _ = encode_template(chain.images[0], _shift(textured, -40, 10))
+        assert chain.records[1].residual == payload
 
     def test_stale_frame_index_rejected(self, textured):
-        chain = TemplateChain()
-        _gate(chain, _frame(textured.planes, 10))
-        with pytest.raises(FbvError):
-            _gate(chain, _shift(textured, 40, 10))
+        # the chain codes what it is given; the container enforces the frame order
+        chain = TemplateChain(ANCHOR_INTERVAL)
+        chain.admit(_frame(textured.planes, 10))
+        chain.admit(_shift(textured, 40, 10))
+        with pytest.raises(ContainerError, match="increase strictly"):
+            write_stream(FbvStream(_header(20), tuple(chain.records), ()))
 
     def test_bracket_spec(self, textured):
-        chain = TemplateChain()
-        t0 = _gate(chain, _frame(textured.planes, 0))
-        t1 = _gate(chain, _shift(textured, 40, 10))
-        t2 = _gate(chain, _shift(textured, 80, 25))
-        tframes = [t.frame_index for t in chain.templates]
+        chain = TemplateChain(ANCHOR_INTERVAL)
+        for amount, index in ((0, 0), (40, 10), (80, 25)):
+            chain.admit(_shift(textured, amount, index))
+        tframes = [r.frame_no for r in chain.records]
 
         def bracket(t):
             i, k = _bracket(tframes, t)
             m, j = (tframes[k] - tframes[i], tframes[k] - t) if i != k else (1, 0)
-            return chain.templates[i], chain.templates[k], m, j
+            return tframes[i], tframes[k], m, j
 
-        assert bracket(-3) == (t0, t0, 1, 0)
-        assert bracket(0) == (t0, t0, 1, 0)
-        assert bracket(5) == (t0, t1, 10, 5)
-        assert bracket(10) == (t1, t1, 1, 0)
-        assert bracket(17) == (t1, t2, 15, 8)
-        assert bracket(25) == (t2, t2, 1, 0)
-        assert bracket(99) == (t2, t2, 1, 0)
+        assert bracket(-3) == (0, 0, 1, 0)
+        assert bracket(0) == (0, 0, 1, 0)
+        assert bracket(5) == (0, 10, 10, 5)
+        assert bracket(10) == (10, 10, 1, 0)
+        assert bracket(17) == (10, 25, 15, 8)
+        assert bracket(25) == (25, 25, 1, 0)
+        assert bracket(99) == (25, 25, 1, 0)
 
     def test_empty_chain_has_no_bracket(self):
         # an empty chain has no background, and no stream can be written from it
-        chain = TemplateChain()
-        assert chain.current is None
-        stream = FbvStream(StreamHeader(width=16, height=16, fps_num=25, fps_den=1,
-                                        frame_count=4, levels=1, delta_fp=2048,
-                                        gamma_fp=9800),
-                           tuple(chain.templates), (), build_segments(4, ()))
+        chain = TemplateChain(ANCHOR_INTERVAL)
+        stream = FbvStream(_header(4), tuple(chain.records), ())
         with pytest.raises(FbvError, match="no background template"):
             write_stream(stream)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            TemplateChain(gamma=1.5)
-        with pytest.raises(ValueError):
-            TemplateChain(anchor_interval=0)
+            EncoderConfig(gamma=1.5)
+        with pytest.raises(ValueError, match="anchor_interval"):
+            EncoderConfig(anchor_interval=0)

@@ -21,6 +21,7 @@ DEAD_SITES = {
     ("fbv.pipeline", "fb_mixture"),
     ("fbv.pipeline", "predict"),
     ("fbv.pipeline", "lookup"),
+    ("fbv.pipeline", "build_segments"),
 }
 
 

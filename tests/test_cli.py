@@ -288,6 +288,36 @@ class TestExitCodes:
         assert rc == EXIT_USAGE
         assert not out.exists()
 
+    def test_non_finite_quantizer_step_is_a_usage_error(self, work, tmp_path):
+        # the step travels as round(delta_q * 256); infinity has no such form
+        _, src, _ = work
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text("init_frames = 8\ndelta_q = inf\n")
+        out = tmp_path / "x.out"
+        for args in (["encode", "-o", str(out), "--init-frames", "8", "--delta-q", "inf"],
+                     ["encode", "-o", str(out), "--config", str(cfg)],
+                     ["rd-sweep", "-o", str(out), "--init-frames", "8",
+                      "--qualities", "1,inf:1"]):
+            assert main(args + ["-i", str(src)]) == EXIT_USAGE, args
+            assert not out.exists()
+
+    def test_header_the_container_cannot_carry_fails_before_encoding(self, tmp_path,
+                                                                     monkeypatch, capsys):
+        # a well-formed clip whose frame rate does not fit the header's u16 field
+        frame = b"FRAME\n" + bytes(i % 256 for i in range(32 * 32 * 3 // 2))
+        clip = tmp_path / "clip.y4m"
+        clip.write_bytes(b"YUV4MPEG2 W32 H32 F70000:1 C420jpeg\n" + frame * 12)
+        calls = []
+        gmm_init = pipeline.gmm_init
+        monkeypatch.setattr(pipeline, "gmm_init",
+                            lambda *a, **k: calls.append(a) or gmm_init(*a, **k))
+        out = tmp_path / "x.fbv"
+        rc = main(["encode", "-i", str(clip), "-o", str(out), "--init-frames", "8"])
+        assert rc == EXIT_FORMAT
+        assert "invalid frame rate" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
     def test_too_few_frames_for_the_default_warm_up_is_a_usage_error(self, work, tmp_path):
         # the 16-frame clip is well formed; the default --init-frames 200 does not fit it
         _, src, _ = work

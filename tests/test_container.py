@@ -38,8 +38,7 @@ def _simple_stream(frame_count=20, t_frames=(0, 10), fg_frames=(5, 6), seed=0):
                          flow=_bytes(rng, rng.integers(2, 20)),
                          residual=_bytes(rng, rng.integers(2, 30)))
         for fn in fg_frames)
-    return FbvStream(_header(frame_count), templates, foregrounds,
-                     build_segments(frame_count, fg_frames))
+    return FbvStream(_header(frame_count), templates, foregrounds)
 
 
 def _random_stream(rng):
@@ -68,12 +67,12 @@ def _random_stream(rng):
                           int(rng.integers(1, 4)), frame_count,
                           int(rng.integers(1, 13)), int(rng.integers(1, 0x10000)),
                           int(rng.integers(1, 10000)), int(rng.integers(0, 256)))
-    return FbvStream(header, templates, tuple(fgs),
-                     build_segments(frame_count, fg_frames))
+    return FbvStream(header, templates, tuple(fgs))
 
 
-def _assemble(stream, records) -> bytes:
-    """The wire layout by hand, with the records in the order given."""
+def _assemble(stream, records, segments=None) -> bytes:
+    """The wire layout by hand, with the records in the order given and the
+    segment list given (the stream's own by default)."""
     out = bytearray(write_stream(stream)[:23])      # preamble and header
     index = {TAG_TEMPLATE: [], TAG_FOREGROUND: []}
     for rec in records:
@@ -86,8 +85,9 @@ def _assemble(stream, records) -> bytes:
         offsets.append(len(out))
         out += struct.pack("<I", len(index[tag]))
         out += b"".join(struct.pack("<IQ", *entry) for entry in index[tag])
-    out += struct.pack("<I", len(stream.segments))
-    out += b"".join(struct.pack("<II", *seg) for seg in stream.segments)
+    segments = stream.segments if segments is None else segments
+    out += struct.pack("<I", len(segments))
+    out += b"".join(struct.pack("<II", *seg) for seg in segments)
     return bytes(out + struct.pack("<QQ4s", *offsets, b"FBIX"))
 
 
@@ -112,8 +112,7 @@ class TestRoundTrip:
         stream = FbvStream(
             _header(frame_count=2),
             (TemplateRecord(0, True, b""),),
-            (ForegroundRecord(1, (Region(0, 0, 8, 8),), b"", b""),),
-            ((0, 0),))
+            (ForegroundRecord(1, (Region(0, 0, 8, 8),), b"", b""),))
         back = read_stream(write_stream(stream))
         assert back.templates[0].residual == b""
         assert back.foregrounds[0].flow == b""
@@ -148,30 +147,29 @@ class TestHeaderValidation:
 
 class TestStreamValidation:
     def test_no_templates(self):
-        s = FbvStream(_header(1), (), (), ((0, 0),))
+        s = FbvStream(_header(1), (), ())
         with pytest.raises(ContainerError, match="no background template"):
             write_stream(s)
 
     def test_first_template_not_anchor(self):
-        s = FbvStream(_header(1), (TemplateRecord(0, False, b""),), (), ((0, 0),))
+        s = FbvStream(_header(1), (TemplateRecord(0, False, b""),), ())
         with pytest.raises(ContainerError, match="first template must be an anchor"):
             write_stream(s)
 
     def test_template_frames_strictly_increase(self):
         s = FbvStream(_header(5),
-                      (TemplateRecord(2, True, b""), TemplateRecord(2, False, b"")),
-                      (), ((0, 4),))
+                      (TemplateRecord(2, True, b""), TemplateRecord(2, False, b"")), ())
         with pytest.raises(ContainerError, match="increase strictly"):
             write_stream(s)
 
     def test_template_frame_out_of_range(self):
-        s = FbvStream(_header(5), (TemplateRecord(5, True, b""),), (), ((0, 4),))
+        s = FbvStream(_header(5), (TemplateRecord(5, True, b""),), ())
         with pytest.raises(ContainerError, match="out of range"):
             write_stream(s)
 
     def test_foreground_without_regions(self):
         s = FbvStream(_header(2), (TemplateRecord(0, True, b""),),
-                      (ForegroundRecord(1, (), b"", b""),), ((0, 0),))
+                      (ForegroundRecord(1, (), b"", b""),))
         with pytest.raises(ContainerError, match="no regions is illegal"):
             write_stream(s)
 
@@ -179,32 +177,8 @@ class TestStreamValidation:
         s = FbvStream(
             _header(2), (TemplateRecord(0, True, b""),),
             (ForegroundRecord(1, (Region(0, 0, 16, 16), Region(8, 8, 16, 16)),
-                              b"", b""),),
-            ((0, 0),))
+                              b"", b""),))
         with pytest.raises(ContainerError, match="invalid region list"):
-            write_stream(s)
-
-    def test_coverage_gap(self):
-        s = FbvStream(_header(3), (TemplateRecord(0, True, b""),), (), ((0, 1),))
-        with pytest.raises(ContainerError, match="frame coverage incomplete"):
-            write_stream(s)
-
-    def test_segments_overlap(self):
-        s = FbvStream(_header(4), (TemplateRecord(0, True, b""),), (),
-                      ((0, 2), (2, 3)))
-        with pytest.raises(ContainerError, match="segments overlap"):
-            write_stream(s)
-
-    def test_segment_out_of_bounds(self):
-        s = FbvStream(_header(3), (TemplateRecord(0, True, b""),), (), ((0, 3),))
-        with pytest.raises(ContainerError, match="segment range out of bounds"):
-            write_stream(s)
-
-    def test_frame_in_segment_and_foreground(self):
-        s = FbvStream(_header(3), (TemplateRecord(0, True, b""),),
-                      (ForegroundRecord(1, (Region(0, 0, 8, 8),), b"", b""),),
-                      ((0, 2),))
-        with pytest.raises(ContainerError, match="both in segment and foreground"):
             write_stream(s)
 
 
@@ -214,7 +188,7 @@ class TestWireErrors:
         # segment ends one frame short, so the stream is not canonical
         n = 4_000_000
         data = bytearray(write_stream(FbvStream(
-            _header(n), (TemplateRecord(0, True, b""),), (), ((0, n - 1),))))
+            _header(n), (TemplateRecord(0, True, b""),), ())))
         assert len(data) < 100
         struct.pack_into("<I", data, len(data) - 20 - 4, n - 2)
         tracemalloc.start()
@@ -261,8 +235,10 @@ class TestWireErrors:
 
     def test_split_segment_rejected(self):
         # one background run written as two adjacent segments: valid, not canonical
-        data = write_stream(FbvStream(_header(10), (TemplateRecord(0, True, b"ab"),), (),
-                                      ((0, 4), (5, 9))))
+        stream = FbvStream(_header(10), (TemplateRecord(0, True, b"ab"),), ())
+        assert stream.segments == ((0, 9),)
+        assert _assemble(stream, stream.templates) == write_stream(stream)
+        data = _assemble(stream, stream.templates, segments=((0, 4), (5, 9)))
         with pytest.raises(ContainerError, match="not in canonical form"):
             read_stream(data)
 
@@ -322,7 +298,7 @@ class TestLookup:
         fgs = (ForegroundRecord(120, (Region(0, 0, 8, 8),),
                                 _bytes(rng, 4), _bytes(rng, 6)),)
         return read_stream(write_stream(FbvStream(
-            _header(frame_count=200), templates, fgs, build_segments(200, (120,)))))
+            _header(frame_count=200), templates, fgs)))
 
     def test_between_templates(self, stream):
         tframes = [t.frame_no for t in stream.templates]

@@ -114,7 +114,7 @@ class TestExpGolomb:
         assert got == values
 
     def test_runaway_prefix_rejected(self):
-        # a stream of ones never terminates the unary prefix within max_k
+        # a stream of ones never terminates the unary prefix within MAX_EG0_PREFIX
         model = ContextModel(2)
         enc = RangeEncoder(model)
         for _ in range(80):
@@ -122,7 +122,7 @@ class TestExpGolomb:
         data = enc.finish()
         dec = RangeDecoder(data, ContextModel(2))
         with pytest.raises(EntropyDecodeError):
-            decode_unary_eg0(dec, 0, 1, max_k=40)
+            decode_unary_eg0(dec, 0, 1, prefix_span=1)
 
 
 class TestBudget:

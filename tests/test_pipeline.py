@@ -13,7 +13,7 @@ import pytest
 from fbv import evaluate, pipeline
 from fbv.bgtemplate import encode_template, interpolated_background
 from fbv.container import (ContainerError, FbvStream, StreamHeader, TemplateRecord,
-                           budget_of, build_segments, read_stream, write_stream)
+                           budget_of, read_stream, write_stream)
 from fbv.core import ConfigError, FbvError, Frame, VideoSequence
 from fbv.entropy import EntropyDecodeError
 from fbv.evaluate import rd_sweep, score, sweep_csv
@@ -410,15 +410,15 @@ class TestTemplateCache:
 def _bracket_stream():
     """Templates at 100 (anchor), 140 (chained) and 180 (anchor) of 200 frames."""
     bg = smooth_texture(16, 16)
-    t100 = encode_template(None, Frame(bg, 100))
-    t140 = encode_template(t100, Frame(bg // 2, 140))
-    t180 = encode_template(None, Frame(bg // 3, 180))
+    p100, i100 = encode_template(None, Frame(bg, 100))
+    p140, i140 = encode_template(i100, Frame(bg // 2, 140))
+    p180, i180 = encode_template(None, Frame(bg // 3, 180))
     header = StreamHeader(width=16, height=16, fps_num=25, fps_den=1, frame_count=200,
                           levels=1, delta_fp=2048, gamma_fp=9800)
-    templates = tuple(TemplateRecord(t.frame_index, t.anchor, t.payload)
-                      for t in (t100, t140, t180))
-    stream = FbvStream(header, templates, (), build_segments(200, ()))
-    return read_stream(write_stream(stream)), {t.frame_index: t.image for t in (t100, t140, t180)}
+    templates = (TemplateRecord(100, True, p100), TemplateRecord(140, False, p140),
+                 TemplateRecord(180, True, p180))
+    stream = FbvStream(header, templates, ())
+    return read_stream(write_stream(stream)), {100: i100, 140: i140, 180: i180}
 
 
 class TestBracket:
