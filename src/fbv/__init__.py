@@ -16,8 +16,7 @@ from .container import (ContainerError, FbvStream, ForegroundRecord,
 from .core import (ConfigError, FbvError, Frame, Region, VideoFormatError, VideoSequence,
                    frame_from_planes, read_y4m, write_y4m)
 from .decode import composite, enhance
-from .entropy import (BitBudgetReport, ContextModel, EntropyDecodeError,
-                      RangeDecoder, RangeEncoder)
+from .entropy import BitBudgetReport, ContextModel, EntropyDecodeError
 from .evaluate import (QualityReport, RdPoint, quality_csv, rd_sweep, score,
                        summary_json, sweep_csv)
 from .fgregion import RegionSet, combine_regions, fp

@@ -15,6 +15,14 @@ check bits and treats any byte read past the payload end as corruption.
 
 Encoder and decoder must derive probabilities through the same code path;
 any divergence desynchronizes the interval walk.
+
+Payloads are coded as CABAC does it: binarization apart from the coding
+engine. A payload's symbols are first binarized into flat (context, bit)
+lists (`eg0_bins` gives the order-0 exp-Golomb bins), and `encode_bins`
+then codes the whole payload in one loop. A decode is one loop per payload
+too, with the coder state in local variables: `bin_decoder` returns a
+closure that decodes one bin, and `residual.decode_levels` writes the bin
+decode inline. Every such loop follows this description bin for bin.
 """
 
 from __future__ import annotations
@@ -22,10 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 _TOP = 1 << 32
-_BOT = 1 << 24
-_PROB_BITS = 11
-_PROB_SCALE = 1 << _PROB_BITS
-_HALVE_AT = 1 << 14
+RANGE_MIN = 1 << 24      # renormalize whenever range drops below this
+PROB_BITS = 11           # probabilities are in units of 2**-11
+HALVE_AT = 1 << 14       # a context's counters halve when their total reaches this
 MAX_EG0_PREFIX = 40      # an exp-Golomb prefix longer than this means a corrupt payload
 
 
@@ -45,194 +52,176 @@ class ContextModel:
         self.c1 = [1] * num_contexts
 
 
-class RangeEncoder:
-    def __init__(self, model: ContextModel) -> None:
-        self.model = model
-        self.low = 0
-        self.range = _TOP - 1
-        self.cache = 0
-        self.cache_size = 1
-        self.out = bytearray()
-
-    def encode(self, ctx: int, bit: int) -> None:
-        c0 = self.model.c0
-        c1 = self.model.c1
-        n0 = c0[ctx]
-        n1 = c1[ctx]
-        p0 = (n0 * _PROB_SCALE) // (n0 + n1)
-        if p0 < 1:
-            p0 = 1
-        elif p0 > _PROB_SCALE - 1:
-            p0 = _PROB_SCALE - 1
-        bound = (self.range >> _PROB_BITS) * p0
-        if bit:
-            self.low += bound
-            self.range -= bound
-            c1[ctx] = n1 + 1
-        else:
-            self.range = bound
-            c0[ctx] = n0 + 1
-        if n0 + n1 + 1 >= _HALVE_AT:
-            c0[ctx] = (c0[ctx] + 1) >> 1
-            c1[ctx] = (c1[ctx] + 1) >> 1
-        while self.range < _BOT:
-            self._shift_low()
-            self.range <<= 8
-
-    def encode_half(self, bit: int) -> None:
-        """Fixed 1/2-1/2 split, no adaptation (termination check bits)."""
-        bound = self.range >> 1
-        if bit:
-            self.low += bound
-            self.range -= bound
-        else:
-            self.range = bound
-        while self.range < _BOT:
-            self._shift_low()
-            self.range <<= 8
-
-    def _shift_low(self) -> None:
-        if self.low < 0xFF000000 or self.low >= _TOP:
-            carry = self.low >> 32
-            out = self.out
-            out.append((self.cache + carry) & 0xFF)
-            filler = (0xFF + carry) & 0xFF
-            for _ in range(self.cache_size - 1):
-                out.append(filler)
-            self.cache = (self.low >> 24) & 0xFF
-            self.cache_size = 0
-        self.cache_size += 1
-        self.low = (self.low << 8) & 0xFFFFFFFF
-
-    def finish(self) -> bytes:
-        for _ in range(16):
-            self.encode_half(0)
-        for _ in range(5):
-            self._shift_low()
-        return bytes(self.out)
+def _check_contexts(ctxs, num_contexts: int) -> None:
+    if len(ctxs) and not (0 <= min(ctxs) and max(ctxs) < num_contexts):
+        raise ValueError(f"context outside [0, {num_contexts})")
 
 
-class RangeDecoder:
-    def __init__(self, data: bytes, model: ContextModel) -> None:
-        self.model = model
-        self.data = data
-        self.pos = 0
-        self.range = _TOP - 1
-        if len(data) < 5:
-            raise EntropyDecodeError("payload shorter than coder preamble")
-        code = 0
-        for _ in range(5):
-            code = (code << 8) | data[self.pos]
-            self.pos += 1
-        self.code = code & 0xFFFFFFFF
-
-    def _next_byte(self) -> int:
-        if self.pos >= len(self.data):
-            raise EntropyDecodeError("payload truncated mid-symbol")
-        b = self.data[self.pos]
-        self.pos += 1
-        return b
-
-    def decode(self, ctx: int) -> int:
-        c0 = self.model.c0
-        c1 = self.model.c1
-        n0 = c0[ctx]
-        n1 = c1[ctx]
-        p0 = (n0 * _PROB_SCALE) // (n0 + n1)
-        if p0 < 1:
-            p0 = 1
-        elif p0 > _PROB_SCALE - 1:
-            p0 = _PROB_SCALE - 1
-        bound = (self.range >> _PROB_BITS) * p0
-        if self.code < bound:
-            bit = 0
-            self.range = bound
-            c0[ctx] = n0 + 1
-        else:
-            bit = 1
-            self.code -= bound
-            self.range -= bound
-            c1[ctx] = n1 + 1
-        if n0 + n1 + 1 >= _HALVE_AT:
-            c0[ctx] = (c0[ctx] + 1) >> 1
-            c1[ctx] = (c1[ctx] + 1) >> 1
-        while self.range < _BOT:
-            self.code = ((self.code << 8) | self._next_byte()) & 0xFFFFFFFF
-            self.range <<= 8
-        return bit
-
-    def decode_half(self) -> int:
-        bound = self.range >> 1
-        if self.code < bound:
-            bit = 0
-            self.range = bound
-        else:
-            bit = 1
-            self.code -= bound
-            self.range -= bound
-        while self.range < _BOT:
-            self.code = ((self.code << 8) | self._next_byte()) & 0xFFFFFFFF
-            self.range <<= 8
-        return bit
-
-    def finish(self) -> None:
-        """Verify the 16 termination check bits."""
-        for _ in range(16):
-            if self.decode_half() != 0:
-                raise EntropyDecodeError("termination check failed: payload corrupt")
+def _shift_low(out: bytearray, low: int, cache: int, cache_size: int) -> tuple[int, int, int]:
+    """Move the top byte of low out. The last byte a carry could still change
+    waits in cache, with cache_size - 1 0xFF bytes behind it."""
+    if low < 0xFF000000 or low >= _TOP:
+        carry = low >> 32
+        out.append((cache + carry) & 0xFF)
+        for _ in range(cache_size - 1):
+            out.append((0xFF + carry) & 0xFF)
+        return (low << 8) & 0xFFFFFFFF, (low >> 24) & 0xFF, 1
+    return (low << 8) & 0xFFFFFFFF, cache, cache_size + 1
 
 
-def encode_unary_eg0(enc: RangeEncoder, value: int, ctx_prefix: int, ctx_suffix: int,
-                     prefix_span: int) -> None:
-    """Order-0 exp-Golomb binarization of value >= 0.
+def encode_bins(ctxs, bits, model: ContextModel) -> bytes:
+    """Code bits[i] under context ctxs[i], in order, then the termination.
 
-    Prefix: k one-bits then a zero, where k = bit_length(value + 1) - 1;
-    the first `prefix_span` prefix bins get consecutive contexts starting
-    at ctx_prefix, later bins reuse the last one. Suffix: k raw bins at
-    ctx_suffix.
+    A payload's binarization (the flat context and bit lists) is built
+    first; this one loop then runs the whole arithmetic-coding engine.
     """
-    n = value + 1
-    k = n.bit_length() - 1
-    for i in range(k):
-        enc.encode(ctx_prefix + min(i, prefix_span - 1), 1)
-    enc.encode(ctx_prefix + min(k, prefix_span - 1), 0)
-    for i in range(k - 1, -1, -1):
-        enc.encode(ctx_suffix, (n >> i) & 1)
+    if len(ctxs) != len(bits):
+        raise ValueError(f"{len(ctxs)} contexts for {len(bits)} bits")
+    c0, c1 = model.c0, model.c1
+    _check_contexts(ctxs, len(c0))
+    out = bytearray()
+    low, rng, cache, cache_size = 0, _TOP - 1, 0, 1
+    for ctx, bit in zip(ctxs, bits):
+        n0 = c0[ctx]
+        n1 = c1[ctx]
+        # n1 >= 1 keeps p0 <= 2047, so only the floor needs a clamp
+        t = n0 + n1
+        bound = (rng >> PROB_BITS) * ((n0 << PROB_BITS) // t or 1)
+        if bit:
+            low += bound
+            rng -= bound
+            c1[ctx] = n1 + 1
+        else:
+            rng = bound
+            c0[ctx] = n0 + 1
+        if t + 1 >= HALVE_AT:
+            c0[ctx] = (c0[ctx] + 1) >> 1
+            c1[ctx] = (c1[ctx] + 1) >> 1
+        while rng < RANGE_MIN:
+            low, cache, cache_size = _shift_low(out, low, cache, cache_size)
+            rng <<= 8
+    for _ in range(16):
+        rng >>= 1
+        while rng < RANGE_MIN:
+            low, cache, cache_size = _shift_low(out, low, cache, cache_size)
+            rng <<= 8
+    for _ in range(5):
+        low, cache, cache_size = _shift_low(out, low, cache, cache_size)
+    return bytes(out)
 
 
-def decode_unary_eg0(dec: RangeDecoder, ctx_prefix: int, ctx_suffix: int,
-                     prefix_span: int) -> int:
+def decode_start(data: bytes) -> tuple[int, int, int]:
+    """The decoder state (pos, code, rng) after the payload's preamble."""
+    if len(data) < 5:
+        raise EntropyDecodeError("payload shorter than coder preamble")
+    return 5, int.from_bytes(data[:5], "big") & 0xFFFFFFFF, _TOP - 1
+
+
+def renormalize(data: bytes, pos: int, code: int, rng: int) -> tuple[int, int, int]:
+    """Shift payload bytes into code until rng >= 2**24 again."""
+    while rng < RANGE_MIN:
+        if pos >= len(data):
+            raise EntropyDecodeError("payload truncated mid-symbol")
+        code = ((code << 8) | data[pos]) & 0xFFFFFFFF
+        pos += 1
+        rng <<= 8
+    return pos, code, rng
+
+
+def check_termination(data: bytes, pos: int, code: int, rng: int) -> None:
+    """Verify the 16 termination check bits that end every payload."""
+    for _ in range(16):
+        rng >>= 1
+        if code >= rng:
+            raise EntropyDecodeError("termination check failed: payload corrupt")
+        if rng < RANGE_MIN:
+            pos, code, rng = renormalize(data, pos, code, rng)
+
+
+def bin_decoder(data: bytes, model: ContextModel):
+    """(decode, finish) over one payload: decode(ctx) returns its next bin
+    coded under ctx, finish() checks the termination. The coder state lives
+    in the closures, so a payload loop calls no method."""
+    c0, c1 = model.c0, model.c1
+    pos, code, rng = decode_start(data)
+
+    def decode(ctx: int) -> int:
+        nonlocal pos, code, rng
+        n0 = c0[ctx]
+        n1 = c1[ctx]
+        t = n0 + n1
+        bound = (rng >> PROB_BITS) * ((n0 << PROB_BITS) // t or 1)
+        if code < bound:
+            bit = 0
+            rng = bound
+            c0[ctx] = n0 + 1
+        else:
+            bit = 1
+            code -= bound
+            rng -= bound
+            c1[ctx] = n1 + 1
+        if t + 1 >= HALVE_AT:
+            c0[ctx] = (c0[ctx] + 1) >> 1
+            c1[ctx] = (c1[ctx] + 1) >> 1
+        if rng < RANGE_MIN:
+            pos, code, rng = renormalize(data, pos, code, rng)
+        return bit
+
+    def finish() -> None:
+        check_termination(data, pos, code, rng)
+
+    return decode, finish
+
+
+def decode_eg0(decode, ctx_prefix: int, ctx_suffix: int, prefix_span: int) -> int:
+    """Order-0 exp-Golomb value >= 0 read through decode: a prefix of k one
+    bins ended by a zero (bin i under ctx_prefix + min(i, prefix_span - 1)),
+    then k suffix bins under ctx_suffix, most significant first; the value is
+    the suffix with a leading one, minus one."""
     k = 0
-    while dec.decode(ctx_prefix + min(k, prefix_span - 1)):
+    last = prefix_span - 1
+    while decode(ctx_prefix + (k if k < last else last)):
         k += 1
         if k > MAX_EG0_PREFIX:
             raise EntropyDecodeError("exp-Golomb prefix overrun: payload corrupt")
     n = 1
     for _ in range(k):
-        n = (n << 1) | dec.decode(ctx_suffix)
+        n = (n << 1) | decode(ctx_suffix)
     return n - 1
+
+
+def eg0_bins(ctxs: list, bits: list, value: int, ctx_prefix: int, ctx_suffix: int,
+             prefix_span: int) -> None:
+    """Append value's order-0 exp-Golomb bins (see decode_eg0) to ctxs and bits."""
+    n = value + 1
+    k = n.bit_length() - 1
+    last = prefix_span - 1
+    if k <= last:
+        ctxs.extend(range(ctx_prefix, ctx_prefix + k + 1))
+    else:
+        ctxs.extend(range(ctx_prefix, ctx_prefix + last))
+        ctxs.extend([ctx_prefix + last] * (k + 1 - last))
+    ctxs.extend([ctx_suffix] * k)
+    bits.extend([1] * k)
+    bits.append(0)
+    bits.extend(map(int, bin(n)[3:]))       # the k bits below n's leading one
 
 
 def encode_bits(bits, model: ContextModel, contexts=None) -> bytes:
     """Code a flat bit sequence; contexts defaults to context 0 for all."""
-    enc = RangeEncoder(model)
-    if contexts is None:
-        for b in bits:
-            enc.encode(0, b)
-    else:
-        for ctx, b in zip(contexts, bits):
-            enc.encode(ctx, b)
-    return enc.finish()
+    return encode_bins([0] * len(bits) if contexts is None else contexts, bits, model)
 
 
 def decode_bits(data: bytes, model: ContextModel, n: int, contexts=None) -> list[int]:
     """Inverse of encode_bits for the same model shape and context plan."""
-    dec = RangeDecoder(data, model)
     if contexts is None:
-        out = [dec.decode(0) for _ in range(n)]
-    else:
-        out = [dec.decode(ctx) for ctx, _ in zip(contexts, range(n))]
-    dec.finish()
+        contexts = [0] * n
+    elif len(contexts) != n:
+        raise ValueError(f"{len(contexts)} contexts for {n} bits")
+    _check_contexts(contexts, len(model.c0))
+    decode, finish = bin_decoder(data, model)
+    out = [decode(ctx) for ctx in contexts]
+    finish()
     return out
 
 

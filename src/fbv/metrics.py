@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.ndimage import correlate1d
-from scipy.signal import convolve2d
 
 from .core import Frame
 
@@ -116,15 +115,14 @@ def fb_mixture(m_f: float, m_b: float, r_f: float, r_b: float) -> float:
     return r_b * m_f + r_f * m_b
 
 
-_LAPLACIAN = np.array([[0, 1, 0], [1, -4, 1], [0, 1, 0]], dtype=np.float64)
-
-
 def laplacian_sharpness(frame) -> float:
     """Variance of the 3x3 Laplacian response over interior luma pixels."""
     luma = _as_luma(frame).astype(np.float64)
     if luma.shape[0] < 3 or luma.shape[1] < 3:
         return 0.0
-    resp = convolve2d(luma, _LAPLACIAN, mode="valid")
+    # kernel [[0, 1, 0], [1, -4, 1], [0, 1, 0]]; integer-valued inputs keep every sum exact
+    resp = (luma[:-2, 1:-1] + luma[2:, 1:-1] + luma[1:-1, :-2] + luma[1:-1, 2:]
+            - 4 * luma[1:-1, 1:-1])
     return float(np.var(resp))
 
 

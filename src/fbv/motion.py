@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Frame, Region
-from .entropy import (ContextModel, EntropyDecodeError, RangeDecoder, RangeEncoder,
-                      decode_unary_eg0, encode_unary_eg0)
+from .entropy import (ContextModel, EntropyDecodeError, bin_decoder, decode_eg0, eg0_bins,
+                      encode_bins)
 from .fgregion import RegionSet
 
 BLOCK = 8
@@ -199,27 +199,29 @@ def _predicted(grid_part: np.ndarray, by: int, bx: int, comp: int, bw: int) -> i
 
 def encode_flow(flow: FlowField) -> bytes:
     """Predictively code all region grids into one entropy payload."""
-    enc = RangeEncoder(flow_context_model())
+    ctxs: list[int] = []
+    bits: list[int] = []
     for region, grid in zip(flow.regions, flow.vectors):
         bh, bw = _grid_shape(region)
         for by in range(bh):
             for bx in range(bw):
                 for comp in range(2):
-                    pred = _predicted(grid, by, bx, comp, bw)
-                    d = int(grid[by, bx, comp]) - pred
+                    d = int(grid[by, bx, comp]) - _predicted(grid, by, bx, comp, bw)
+                    ctxs.append(_CTX_ZERO + comp)
                     if d == 0:
-                        enc.encode(_CTX_ZERO + comp, 1)
+                        bits.append(1)
                         continue
-                    enc.encode(_CTX_ZERO + comp, 0)
-                    enc.encode(_CTX_SIGN + comp, 0 if d > 0 else 1)
+                    bits.append(0)
+                    ctxs.append(_CTX_SIGN + comp)
+                    bits.append(0 if d > 0 else 1)
                     base = _CTX_EG_PREFIX + comp * 4
-                    encode_unary_eg0(enc, abs(d) - 1, base, base + 3, prefix_span=3)
-    return enc.finish()
+                    eg0_bins(ctxs, bits, abs(d) - 1, base, base + 3, 3)
+    return encode_bins(ctxs, bits, flow_context_model())
 
 
 def decode_flow(data: bytes, regions: RegionSet) -> FlowField:
     """Inverse of encode_flow for the same region list."""
-    dec = RangeDecoder(data, flow_context_model())
+    decode, finish = bin_decoder(data, flow_context_model())
     grids = []
     for region in regions.regions:
         bh, bw = _grid_shape(region)
@@ -228,16 +230,15 @@ def decode_flow(data: bytes, regions: RegionSet) -> FlowField:
             for bx in range(bw):
                 for comp in range(2):
                     pred = _predicted(grid, by, bx, comp, bw)
-                    if dec.decode(_CTX_ZERO + comp):
+                    if decode(_CTX_ZERO + comp):
                         grid[by, bx, comp] = pred
                         continue
-                    sign = -1 if dec.decode(_CTX_SIGN + comp) else 1
+                    sign = -1 if decode(_CTX_SIGN + comp) else 1
                     base = _CTX_EG_PREFIX + comp * 4
-                    mag = decode_unary_eg0(dec, base, base + 3, prefix_span=3) + 1
-                    v = pred + sign * mag
+                    v = pred + sign * (decode_eg0(decode, base, base + 3, 3) + 1)
                     if abs(v) > 2 * SEARCH_RANGE:
                         raise EntropyDecodeError(f"flow component {v} out of range")
                     grid[by, bx, comp] = v
         grids.append(grid)
-    dec.finish()
+    finish()
     return FlowField(regions.regions, tuple(grids))

@@ -43,8 +43,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .entropy import (ContextModel, RangeDecoder, RangeEncoder,
-                      EntropyDecodeError, decode_unary_eg0, encode_unary_eg0)
+from .entropy import (HALVE_AT, MAX_EG0_PREFIX, PROB_BITS, RANGE_MIN, ContextModel,
+                      EntropyDecodeError, check_termination, decode_start, eg0_bins,
+                      encode_bins, renormalize)
 
 # rotation schedule for the odd half: ('rot', j, i, p, u) or ('neg2', j, i)
 _ODD_OPS = (
@@ -203,6 +204,11 @@ def _synthesize(signed_levels_zz: np.ndarray, delta_fp: int, h: int, w: int) -> 
     return planes[:, :h, :w]
 
 
+# per coefficient contexts by zigzag position, luma then chroma
+_SIG_CTX = tuple(tuple(_CTX_SIG + cc * 8 + g * 2 for g in _BAND_GROUP.tolist()) for cc in (0, 1))
+_LAST_CTX = tuple(tuple(_CTX_LAST + cc * 4 + g for g in _BAND_GROUP.tolist()) for cc in (0, 1))
+
+
 def encode_residual(patches: Sequence[np.ndarray],
                     q: QualityPoint) -> tuple[bytes, list[np.ndarray]]:
     """Code (3, h, w) residual patches into one entropy payload.
@@ -210,8 +216,8 @@ def encode_residual(patches: Sequence[np.ndarray],
     Returns (payload, decoded_patches): the decoded side is what
     decode_residual returns for the payload.
     """
-    enc = RangeEncoder(residual_context_model())
-    top = q.top_center
+    ctxs: list[int] = []
+    bits: list[int] = []
     decoded: list[np.ndarray] = []
     for patch in patches:
         if patch.ndim != 3 or patch.shape[0] != 3:
@@ -223,90 +229,186 @@ def encode_residual(patches: Sequence[np.ndarray],
         flat = fwd2d(blocks).reshape(3, -1, 64)[..., ZIGZAG]
         levels = quantize(np.abs(flat), q.delta_fp)
         signs = np.sign(flat)
-        for ch in range(3):
-            cc = 0 if ch == 0 else 1
-            for b in range(flat.shape[1]):
-                _encode_block(enc, levels[ch, b], signs[ch, b], cc, top)
+        _binarize(levels, signs, q.top_center, ctxs, bits)
         decoded.append(_synthesize(signs * levels, q.delta_fp, h, w))
-    return enc.finish(), decoded
+    return encode_bins(ctxs, bits, residual_context_model()), decoded
 
 
-def _encode_block(enc: RangeEncoder, levels: np.ndarray, signs: np.ndarray,
-                  cc: int, top: int) -> None:
-    nz = np.flatnonzero(levels)
-    if nz.size == 0:
-        enc.encode(_CTX_ZERO_BLOCK + cc, 1)
-        return
-    enc.encode(_CTX_ZERO_BLOCK + cc, 0)
-    last = int(nz[-1])
-    prev_sig = 0
-    for i in range(last + 1):
-        lev = int(levels[i])
-        band = int(_BAND_GROUP[i])
-        sig = 1 if lev else 0
-        enc.encode(_CTX_SIG + cc * 8 + band * 2 + prev_sig, sig)
-        prev_sig = sig
-        if not sig:
-            continue
-        enc.encode(_CTX_SIGN + cc, 0 if signs[i] > 0 else 1)
-        c = min(lev, top)
-        if top > 1:
-            base = _CTX_MAG_PREFIX + cc * 4
-            encode_unary_eg0(enc, c - 1, base, base + 3, prefix_span=3)
-        if c == top:
-            base = _CTX_ESC_PREFIX + cc * 3
-            encode_unary_eg0(enc, lev - top, base, base + 2, prefix_span=2)
-        if i < 63:
-            enc.encode(_CTX_LAST + cc * 4 + band, 1 if i == last else 0)
+def _binarize(levels: np.ndarray, signs: np.ndarray, top: int,
+              ctxs: list[int], bits: list[int]) -> None:
+    """Append the bins of one patch's (3, blocks, 64) zigzag levels and signs.
+
+    Per block: a zero-block flag; for a non-zero block, per coefficient up
+    to the last non-zero one, a significance bin (context by band group and
+    the previous coefficient's significance) and, for a non-zero one, its
+    sign, its center index minus one as exp-Golomb when top > 1, the escape
+    level - top as exp-Golomb when it saturates top, and a last flag before
+    position 63.
+    """
+    nz = levels != 0
+    lasts = np.where(nz.any(axis=2), 63 - np.argmax(nz[..., ::-1], axis=2), -1)
+    cx, bx = ctxs.append, bits.append
+    for ch, (lev_ch, neg_ch, last_ch) in enumerate(zip(levels.tolist(), (signs < 0).tolist(),
+                                                        lasts.tolist())):
+        cc = 0 if ch == 0 else 1
+        zero_ctx, sign_ctx = _CTX_ZERO_BLOCK + cc, _CTX_SIGN + cc
+        mag, esc = _CTX_MAG_PREFIX + cc * 4, _CTX_ESC_PREFIX + cc * 3
+        sig_ctx, last_ctx = _SIG_CTX[cc], _LAST_CTX[cc]
+        for lev_b, neg_b, last in zip(lev_ch, neg_ch, last_ch):
+            cx(zero_ctx)
+            if last < 0:
+                bx(1)
+                continue
+            bx(0)
+            prev = 0
+            for i in range(last + 1):
+                lev = lev_b[i]
+                cx(sig_ctx[i] + prev)
+                if not lev:
+                    bx(0)
+                    prev = 0
+                    continue
+                bx(1)
+                prev = 1
+                cx(sign_ctx)
+                bx(1 if neg_b[i] else 0)
+                c = lev if lev < top else top
+                if top > 1:
+                    eg0_bins(ctxs, bits, c - 1, mag, mag + 3, 3)
+                if c == top:
+                    eg0_bins(ctxs, bits, lev - top, esc, esc + 2, 2)
+                if i < 63:
+                    cx(last_ctx[i])
+                    bx(1 if i == last else 0)
 
 
 def decode_residual(data: bytes, shapes: Sequence[tuple[int, int]],
                     q: QualityPoint) -> list[np.ndarray]:
     """Inverse of encode_residual; shapes lists each patch's (h, w)."""
-    dec = RangeDecoder(data, residual_context_model())
-    top = q.top_center
+    blocks = [(_ceil8(h) // 8) * (_ceil8(w) // 8) for h, w in shapes]
+    levels = np.array(decode_levels(data, blocks, q.top_center), dtype=np.int64)
     patches: list[np.ndarray] = []
-    for (h, w) in shapes:
-        levels = np.zeros((3, (_ceil8(h) // 8) * (_ceil8(w) // 8), 64), dtype=np.int64)
-        for ch in range(3):
-            cc = 0 if ch == 0 else 1
-            for b in range(levels.shape[1]):
-                _decode_block(dec, levels[ch, b], cc, top)
-        patches.append(_synthesize(levels, q.delta_fp, h, w))
-    dec.finish()
+    at = 0
+    for (h, w), n in zip(shapes, blocks):
+        patches.append(_synthesize(levels[at:at + 192 * n].reshape(3, n, 64), q.delta_fp, h, w))
+        at += 192 * n
     return patches
 
 
-def _decode_block(dec: RangeDecoder, out_zz: np.ndarray, cc: int, top: int) -> None:
-    """Decode one block's signed levels into out_zz (zigzag order)."""
-    if dec.decode(_CTX_ZERO_BLOCK + cc):
-        return
-    prev_sig = 0
-    seen_any = False
-    for i in range(64):
-        band = int(_BAND_GROUP[i])
-        sig = dec.decode(_CTX_SIG + cc * 8 + band * 2 + prev_sig)
-        prev_sig = sig
-        if not sig:
-            if i == 63 and not seen_any:
-                raise EntropyDecodeError("non-zero block decoded with no coefficients")
-            continue
-        seen_any = True
-        sign = -1 if dec.decode(_CTX_SIGN + cc) else 1
-        if top > 1:
-            base = _CTX_MAG_PREFIX + cc * 4
-            c = decode_unary_eg0(dec, base, base + 3, prefix_span=3) + 1
-            if c > top:
-                raise EntropyDecodeError("magnitude exceeds center range")
-        else:
-            c = 1
-        lev = c
-        if c == top:
-            base = _CTX_ESC_PREFIX + cc * 3
-            lev = top + decode_unary_eg0(dec, base, base + 2, prefix_span=2)
-        out_zz[i] = sign * lev
-        if i < 63 and dec.decode(_CTX_LAST + cc * 4 + band):
-            return
+# what the next bin of a block codes, in decode_levels
+_ZERO, _SIG, _SIGN, _PREFIX, _SUFFIX, _LAST = range(6)
+
+
+def decode_levels(data: bytes, blocks: Sequence[int], top: int) -> list[int]:
+    """A payload's signed zigzag levels, 64 per 8x8 block, in coding order:
+    patch by patch, plane by plane, blocks[p] blocks per plane of patch p.
+
+    One loop decodes every bin of the payload. The coder state (pos, code,
+    rng and the model's counters) lives in local variables, and the bin
+    decode, written once, follows the coder description in `fbv.entropy`.
+    `step` names the element of the binarization (see `_binarize`) the bin
+    belongs to; after each bin it picks the next step and context.
+    """
+    model = residual_context_model()
+    c0, c1 = model.c0, model.c1
+    pos, code, rng = decode_start(data)
+    out = [0] * (192 * sum(blocks))
+    at = 0
+    for n in blocks:
+        for ch in range(3):
+            cc = 0 if ch == 0 else 1
+            zero_ctx, sign_ctx = _CTX_ZERO_BLOCK + cc, _CTX_SIGN + cc
+            mag, esc = _CTX_MAG_PREFIX + cc * 4, _CTX_ESC_PREFIX + cc * 3
+            sig_ctx, last_ctx = _SIG_CTX[cc], _LAST_CTX[cc]
+            for _ in range(n):
+                step, ctx, i = _ZERO, zero_ctx, 0
+                while True:
+                    n0 = c0[ctx]
+                    n1 = c1[ctx]
+                    # n1 >= 1 keeps p0 <= 2047, so only the floor needs a clamp
+                    t = n0 + n1
+                    bound = (rng >> PROB_BITS) * ((n0 << PROB_BITS) // t or 1)
+                    if code < bound:
+                        bit = 0
+                        rng = bound
+                        c0[ctx] = n0 + 1
+                    else:
+                        bit = 1
+                        code -= bound
+                        rng -= bound
+                        c1[ctx] = n1 + 1
+                    if t + 1 >= HALVE_AT:
+                        c0[ctx] = (c0[ctx] + 1) >> 1
+                        c1[ctx] = (c1[ctx] + 1) >> 1
+                    if rng < RANGE_MIN:
+                        pos, code, rng = renormalize(data, pos, code, rng)
+
+                    if step == _PREFIX:             # exp-Golomb: k one bins, then a zero
+                        if bit:
+                            k += 1
+                            if k > MAX_EG0_PREFIX:
+                                raise EntropyDecodeError(
+                                    "exp-Golomb prefix overrun: payload corrupt")
+                            ctx = prefix + (k if k < cap else cap)
+                            continue
+                        value = 1
+                        if k:
+                            step, ctx = _SUFFIX, suffix
+                            continue
+                    elif step == _SIG:
+                        if bit:
+                            step, ctx = _SIGN, sign_ctx
+                        elif i < 63:
+                            i += 1
+                            ctx = sig_ctx[i]
+                        elif any(out[at:at + 64]):    # position 63 ends the block
+                            break
+                        else:
+                            raise EntropyDecodeError("non-zero block decoded with no coefficients")
+                        continue
+                    elif step == _SUFFIX:           # k bins, most significant first
+                        value = (value << 1) | bit
+                        k -= 1
+                        if k:
+                            continue
+                    elif step == _SIGN:
+                        neg = bit
+                        escape = False
+                        if top > 1:
+                            step, ctx, k = _PREFIX, mag, 0
+                            prefix, cap, suffix = mag, 2, mag + 3
+                            continue
+                        value = 1                   # at levels 1 the center index is 1
+                    elif step == _LAST:
+                        if bit:
+                            break
+                        i += 1
+                        step, ctx = _SIG, sig_ctx[i] + 1
+                        continue
+                    elif bit:                       # _ZERO: an all-zero block
+                        break
+                    else:
+                        step, ctx = _SIG, sig_ctx[0]
+                        continue
+                    # a center index (value) or an escape (value - 1) is complete
+                    if escape:
+                        c = top + value - 1
+                    else:
+                        c = value
+                        if c > top:
+                            raise EntropyDecodeError("magnitude exceeds center range")
+                        if c == top:
+                            escape = True
+                            step, ctx, k = _PREFIX, esc, 0
+                            prefix, cap, suffix = esc, 1, esc + 2
+                            continue
+                    out[at + i] = -c if neg else c
+                    if i == 63:
+                        break
+                    step, ctx = _LAST, last_ctx[i]
+                at += 64
+    check_termination(data, pos, code, rng)
+    return out
 
 
 def reconstruct_foreground(predicted: np.ndarray, residual: np.ndarray,

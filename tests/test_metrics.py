@@ -1,6 +1,10 @@
 """PSNR, MS-SSIM, mixture, sharpness, rate metrics and their fixed points."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +123,21 @@ class TestSharpness:
     def test_gradient_is_flat_to_the_laplacian(self):
         ramp = np.tile(np.arange(64, dtype=np.uint8), (64, 1))
         assert laplacian_sharpness(ramp) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("h,w", [(3, 3), (5, 17), (31, 8)])
+    def test_matches_the_stencil_pixel_by_pixel(self, h, w):
+        y = np.random.default_rng(h * w).integers(0, 256, (h, w)).astype(np.int64)
+        resp = [y[i - 1, j] + y[i + 1, j] + y[i, j - 1] + y[i, j + 1] - 4 * y[i, j]
+                for i in range(1, h - 1) for j in range(1, w - 1)]
+        assert laplacian_sharpness(y.astype(np.uint8)) == float(np.var(np.array(resp, float)))
+
+    def test_importing_fbv_loads_no_scipy_signal(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        code = "import sys, fbv; sys.exit('scipy.signal' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                              timeout=120)
+        assert done.returncode == 0
 
 
 class TestRates:
