@@ -8,9 +8,18 @@ exponents renormalized to sum to one. The luminance term participates at
 every scale (not only the coarsest), which keeps the score sensitive to
 global intensity drift; the template-update gate depends on that
 sensitivity to notice brightness changes of a few dozen codes.
+
+MS-SSIM is split into a reference side and a scoring side. The reference
+side (ms_ssim_reference) holds the first image's per-scale luma, filtered
+mean and variance; ms_ssim(a, b) scores b against the reference of a, and a
+may be a prepared reference, so the gate filters each template once rather
+than once per frame. Every float operation runs in the same order either
+way, so a prepared reference gives the same score to the last bit.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import correlate1d
@@ -67,44 +76,63 @@ def _filter_valid(img: np.ndarray) -> np.ndarray:
     return out[_HALF:img.shape[0] - _HALF, _HALF:img.shape[1] - _HALF]
 
 
-def _ssim_terms(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    mu_x = _filter_valid(x)
-    mu_y = _filter_valid(y)
-    var_x = _filter_valid(x * x) - mu_x * mu_x
-    var_y = _filter_valid(y * y) - mu_y * mu_y
-    cov = _filter_valid(x * y) - mu_x * mu_y
-    lum = (2.0 * mu_x * mu_y + _C1) / (mu_x * mu_x + mu_y * mu_y + _C1)
-    cs = (2.0 * cov + _C2) / (var_x + var_y + _C2)
-    return float(np.mean(lum)), float(np.mean(cs))
-
-
 def _downsample2(img: np.ndarray) -> np.ndarray:
     h, w = img.shape
     img = img[: h - (h % 2), : w - (w % 2)]
     return (img[0::2, 0::2] + img[0::2, 1::2] + img[1::2, 0::2] + img[1::2, 1::2]) / 4.0
 
 
-def ms_ssim(a, b) -> float:
-    """Multiscale structural similarity on luma, in [0, 1]."""
+@dataclass(frozen=True)
+class SsimReference:
+    """The reference side of MS-SSIM: per scale, the luma, its filtered mean
+    and its variance, for scoring many images against one."""
+
+    shape: tuple[int, int]
+    weights: tuple[float, ...]
+    scales: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]   # (x, mu_x, var_x)
+
+
+def ms_ssim_reference(a) -> SsimReference:
+    """Prepare a (a Frame or array) as the first argument of ms_ssim."""
     x = _as_luma(a).astype(np.float64)
-    y = _as_luma(b).astype(np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    shape = x.shape
     # keep only scales where the window still fits after repeated halving
-    scales = [w for s, w in enumerate(MS_SSIM_WEIGHTS)
-              if min(x.shape) // (2 ** s) >= _WIN_SIZE]
-    if not scales:
-        raise ValueError(f"frame too small for MS-SSIM: {x.shape}")
-    if len(scales) < len(MS_SSIM_WEIGHTS):
-        total = sum(scales)
-        scales = [w / total for w in scales]
-    value = 1.0
-    for s, weight in enumerate(scales):
-        lum, cs = _ssim_terms(x, y)
-        value *= max(lum * cs, 0.0) ** weight
-        if s < len(scales) - 1:
+    weights = [w for s, w in enumerate(MS_SSIM_WEIGHTS)
+               if min(shape) // (2 ** s) >= _WIN_SIZE]
+    if not weights:
+        raise ValueError(f"frame too small for MS-SSIM: {shape}")
+    if len(weights) < len(MS_SSIM_WEIGHTS):
+        total = sum(weights)
+        weights = [w / total for w in weights]
+    scales = []
+    for s in range(len(weights)):
+        if s:
             x = _downsample2(x)
+        mu_x = _filter_valid(x)
+        scales.append((x, mu_x, _filter_valid(x * x) - mu_x * mu_x))
+    return SsimReference(shape, tuple(weights), tuple(scales))
+
+
+def ms_ssim(a, b) -> float:
+    """Multiscale structural similarity of b against a on luma, in [0, 1].
+
+    a may be an SsimReference from ms_ssim_reference, so one reference is
+    filtered once however many images are scored against it.
+    """
+    ref = a if isinstance(a, SsimReference) else ms_ssim_reference(a)
+    y = _as_luma(b).astype(np.float64)
+    if ref.shape != y.shape:
+        raise ValueError(f"dimension mismatch: {ref.shape} vs {y.shape}")
+    value = 1.0
+    for s, ((x, mu_x, var_x), weight) in enumerate(zip(ref.scales, ref.weights)):
+        if s:
             y = _downsample2(y)
+        mu_y = _filter_valid(y)
+        var_y = _filter_valid(y * y) - mu_y * mu_y
+        cov = _filter_valid(x * y) - mu_x * mu_y
+        lum = (2.0 * mu_x * mu_y + _C1) / (mu_x * mu_x + mu_y * mu_y + _C1)
+        cs = (2.0 * cov + _C2) / (var_x + var_y + _C2)
+        value *= max(float(np.mean(lum)) * float(np.mean(cs)), 0.0) ** weight
     return float(min(max(value, 0.0), 1.0))
 
 

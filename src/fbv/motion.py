@@ -6,6 +6,14 @@ precision against the same integer bilinear sampler the warper uses.
 Candidates tie-break by (SAD, |v|^2, v_y, v_x), so flat blocks come out
 (0, 0) and results are order-free. Components are stored in half-pel units.
 
+The search runs over a whole region at once. For each vertical offset, a
+window sliding along x over the region's edge-padded source rows gives the
+SAD of every block at every horizontal offset; the tie-break is packed into
+one integer key per candidate, SAD * (candidate count) + rank of
+(|v|^2, v_y, v_x), and an argmin per block picks the winner. The half-pel
+step keys the 3x3 neighbours of every block's winner the same way. All of
+it is integer arithmetic, so batching the search changes no choice.
+
 Warping is backward: the value at target (x, y) is fetched from the previous
 foreground at (x, y) - v with edge-clamped, bilinear half-pel sampling, and
 zeroed outside the region mask. The half-pel sample is
@@ -93,29 +101,100 @@ def _sample_halfpel(plane: np.ndarray, pos_y: np.ndarray, pos_x: np.ndarray) -> 
     return ((a * (2 - fx) + b * fx) * (2 - fy) + (c * (2 - fx) + d * fx) * fy + 2) >> 2
 
 
-def _block_sad_volume(prev_padded: np.ndarray, target: np.ndarray,
-                      y0: int, x0: int) -> np.ndarray:
-    """SAD of every integer displacement in the +/-SEARCH_RANGE window.
+_WIN = 2 * SEARCH_RANGE + 1       # integer offsets per axis
+_BAND = 1 << 19                   # difference samples per integer-search pass
+_HALF_BAND = 1 << 16              # warped samples per half-pel pass
+_DY = np.repeat(np.arange(-1, 2), 3)   # the 3x3 half-pel neighbourhood
+_DX = np.tile(np.arange(-1, 2), 3)
 
-    prev_padded is the previous luma edge-padded by SEARCH_RANGE + BLOCK on
-    every side, so off-grid edge blocks stay in range.
+
+def _tie_rank(radius: int) -> np.ndarray:
+    """Rank of every vector with both components in [-radius, radius] under
+    the order (|v|^2, v_y, v_x), indexed [radius - v_y, radius - v_x]."""
+    v = radius - np.arange(2 * radius + 1)
+    vy, vx = np.meshgrid(v, v, indexing="ij")
+    order = np.lexsort((vx.ravel(), vy.ravel(), (vy * vy + vx * vx).ravel()))
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    return rank.reshape(vy.shape)
+
+
+# a search keys each candidate as sad * (candidate count) + rank, so one argmin
+# applies the whole (SAD, |v|^2, v_y, v_x) order
+_INT_RANK = _tie_rank(SEARCH_RANGE)
+_HALF_RANK = _tie_rank(2 * SEARCH_RANGE)
+
+
+def _block_sums(a: np.ndarray, axis: int) -> np.ndarray:
+    """Sum each BLOCK-long run along axis; explicit adds beat a strided reduce."""
+    runs = a.reshape(a.shape[:axis] + (-1, BLOCK) + a.shape[axis + 1:])
+    lead = (slice(None),) * (axis + 1)
+    out = runs[lead + (0,)] + runs[lead + (1,)]
+    for k in range(2, BLOCK):
+        out += runs[lead + (k,)]
+    return out
+
+
+def _per_pixel(grid: np.ndarray) -> np.ndarray:
+    """Expand per-block values over each block's pixels (last two axes)."""
+    return np.repeat(np.repeat(grid, BLOCK, -2), BLOCK, -1)
+
+
+def _integer_search(prev_padded: np.ndarray, target: np.ndarray,
+                    y: int, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """Best integer (v_y, v_x) of every block of one region.
+
+    prev_padded is the previous luma (int16) edge-padded by SEARCH_RANGE +
+    BLOCK on every side; target is the region's block-padded luma (int16) at
+    (y, x). For a band of vertical offsets at a time, a window sliding along
+    x gives every block's SAD at every horizontal offset. A band holds at
+    most _BAND samples or one offset, so beside the region's
+    (bh, bw, _WIN, _WIN) key volume the temporaries stay within the larger
+    of 1 MB and half that volume.
     """
-    r = SEARCH_RANGE
-    patch = prev_padded[y0 + BLOCK:y0 + 2 * r + 2 * BLOCK,
-                        x0 + BLOCK:x0 + 2 * r + 2 * BLOCK]
-    wins = np.lib.stride_tricks.sliding_window_view(patch, (BLOCK, BLOCK))
-    return np.abs(wins.astype(np.int64) - target[None, None]).sum(axis=(2, 3))
+    h8, w8 = target.shape
+    bh, bw = h8 // BLOCK, w8 // BLOCK
+    rows = prev_padded[y + BLOCK:y + BLOCK + 2 * SEARCH_RANGE + h8,
+                       x + BLOCK:x + BLOCK + 2 * SEARCH_RANGE + w8]
+    # wins[i, r, j, c] is prev[y + r + i - R, x + c + j - R], matched to target[r, c]
+    wins = np.lib.stride_tricks.sliding_window_view(rows, (h8, w8)).transpose(0, 2, 1, 3)
+    key = np.empty((bh, bw, _WIN, _WIN), dtype=np.int64)
+    by_offset = key.transpose(2, 0, 3, 1)
+    step = min(_WIN, max(1, _BAND // (h8 * _WIN * w8)))
+    diff = np.empty((step, h8, _WIN, w8), dtype=np.int16)
+    for i in range(0, _WIN, step):
+        d = diff[:min(step, _WIN - i)]
+        np.subtract(wins[i:i + len(d)], target[:, None, :], out=d)
+        np.abs(d, out=d)
+        # a block SAD fits int16: 64 * 255 < 2**15
+        by_offset[i:i + len(d)] = _block_sums(_block_sums(d, 1), 3)
+    key *= _WIN * _WIN
+    key += _INT_RANK
+    best = key.reshape(bh, bw, -1).argmin(axis=-1)
+    return SEARCH_RANGE - best // _WIN, SEARCH_RANGE - best % _WIN
 
 
-_WIN = 2 * SEARCH_RANGE + 1
-_VY_INT = (SEARCH_RANGE - np.arange(_WIN))[:, None] + np.zeros(_WIN, dtype=np.int64)[None]
-_VX_INT = np.zeros(_WIN, dtype=np.int64)[:, None] + (SEARCH_RANGE - np.arange(_WIN))[None]
-
-
-def _pick(sad: np.ndarray, vy: np.ndarray, vx: np.ndarray) -> int:
-    v2 = vy * vy + vx * vx
-    order = np.lexsort((vx.ravel(), vy.ravel(), v2.ravel(), sad.ravel()))
-    return int(order[0])
+def _halfpel_search(prev: np.ndarray, target: np.ndarray, y: int, x: int,
+                    hvy: np.ndarray, hvx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Refine every block's half-pel vector (hvy, hvx) to the best of its 3x3
+    neighbourhood, dropping candidates beyond +/-2*SEARCH_RANGE."""
+    h8, w8 = target.shape
+    lim = 2 * SEARCH_RANGE
+    cy = hvy + _DY[:, None, None]          # (9, bh, bw)
+    cx = hvx + _DX[:, None, None]
+    pos_y = 2 * (y + np.arange(h8, dtype=np.int64))[:, None]
+    pos_x = 2 * (x + np.arange(w8, dtype=np.int64))[None, :]
+    sad = np.empty(cy.shape, dtype=np.int64)
+    step = max(1, _HALF_BAND // (h8 * w8))
+    for k in range(0, len(_DY), step):
+        warped = _sample_halfpel(prev, pos_y - _per_pixel(cy[k:k + step]),
+                                 pos_x - _per_pixel(cx[k:k + step]))
+        sad[k:k + step] = _block_sums(_block_sums(np.abs(warped - target), 1), 2)
+    rank = _HALF_RANK[np.clip(lim - cy, 0, 2 * lim), np.clip(lim - cx, 0, 2 * lim)]
+    valid = (np.abs(cy) <= lim) & (np.abs(cx) <= lim)
+    key = np.where(valid, sad * _HALF_RANK.size + rank, np.iinfo(np.int64).max)
+    best = key.argmin(axis=0)
+    return hvy + _DY[best], hvx + _DX[best]
 
 
 def estimate_flow(prev_fg: Frame, cur_fg: Frame, regions: RegionSet) -> FlowField:
@@ -125,48 +204,15 @@ def estimate_flow(prev_fg: Frame, cur_fg: Frame, regions: RegionSet) -> FlowFiel
     if not regions.regions:
         raise ValueError("empty region set")
     prev = prev_fg.planes[0].astype(np.int64)
-    cur = cur_fg.planes[0].astype(np.int64)
-    prev_padded = np.pad(prev, SEARCH_RANGE + BLOCK, mode="edge")
+    cur = cur_fg.planes[0].astype(np.int16)
+    prev_padded = np.pad(prev_fg.planes[0].astype(np.int16), SEARCH_RANGE + BLOCK, mode="edge")
     grids = []
     for region in regions.regions:
-        bh, bw = _grid_shape(region)
-        grid = np.zeros((bh, bw, 2), dtype=np.int16)
-        patch = _pad_to_block(cur[region.y:region.y2, region.x:region.x2])
-        for by in range(bh):
-            for bx in range(bw):
-                y0 = region.y + by * BLOCK
-                x0 = region.x + bx * BLOCK
-                target = patch[by * BLOCK:(by + 1) * BLOCK, bx * BLOCK:(bx + 1) * BLOCK]
-                sad = _block_sad_volume(prev_padded, target, y0, x0)
-                best = _pick(sad, _VY_INT, _VX_INT)
-                vy = int(_VY_INT.ravel()[best])
-                vx = int(_VX_INT.ravel()[best])
-                hvx, hvy = _refine_halfpel(prev, target, y0, x0, 2 * vx, 2 * vy)
-                grid[by, bx] = (hvx, hvy)
-        grids.append(grid)
+        target = _pad_to_block(cur[region.y:region.y2, region.x:region.x2])
+        vy, vx = _integer_search(prev_padded, target, region.y, region.x)
+        hvy, hvx = _halfpel_search(prev, target, region.y, region.x, 2 * vy, 2 * vx)
+        grids.append(np.stack([hvx, hvy], axis=-1).astype(np.int16))
     return FlowField(regions.regions, tuple(grids))
-
-
-_BY, _BX = np.mgrid[0:BLOCK, 0:BLOCK].astype(np.int64)
-
-
-def _refine_halfpel(prev: np.ndarray, target: np.ndarray,
-                    y0: int, x0: int, hvx: int, hvy: int) -> tuple[int, int]:
-    cands = []
-    lim = 2 * SEARCH_RANGE
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            cy, cx = hvy + dy, hvx + dx
-            if abs(cy) > lim or abs(cx) > lim:
-                continue
-            pos_y = 2 * (y0 + _BY) - cy
-            pos_x = 2 * (x0 + _BX) - cx
-            warped = _sample_halfpel(prev, pos_y, pos_x)
-            sad = int(np.abs(warped - target).sum())
-            cands.append((sad, cy * cy + cx * cx, cy, cx))
-    cands.sort()
-    _, _, best_y, best_x = cands[0]
-    return best_x, best_y
 
 
 def warp(prev_fg: Frame, flow: FlowField) -> Frame:
@@ -175,8 +221,8 @@ def warp(prev_fg: Frame, flow: FlowField) -> Frame:
     prev = prev_fg.planes.astype(np.int64)
     for region, grid in zip(flow.regions, flow.vectors):
         h, w = region.h, region.w
-        vy = np.repeat(np.repeat(grid[:, :, 1], BLOCK, 0), BLOCK, 1)[:h, :w].astype(np.int64)
-        vx = np.repeat(np.repeat(grid[:, :, 0], BLOCK, 0), BLOCK, 1)[:h, :w].astype(np.int64)
+        vy = _per_pixel(grid[:, :, 1])[:h, :w].astype(np.int64)
+        vx = _per_pixel(grid[:, :, 0])[:h, :w].astype(np.int64)
         yy, xx = np.mgrid[region.y:region.y2, region.x:region.x2]
         pos_y = 2 * yy - vy
         pos_x = 2 * xx - vx

@@ -60,7 +60,7 @@ from .core import ConfigError, Frame, VideoSequence
 from .decode import composite, enhance
 from .entropy import BitBudgetReport
 from .fgregion import RegionSet, combine_regions, fp
-from .metrics import bpp, ms_ssim
+from .metrics import bpp, ms_ssim, ms_ssim_reference
 from .motion import decode_flow, encode_flow, estimate_flow, warp
 from .residual import QualityPoint, decode_residual, encode_residual, \
     reconstruct_foreground
@@ -186,6 +186,9 @@ def encode(video: VideoSequence, config: EncoderConfig = EncoderConfig()) -> Enc
     chain = TemplateChain(config.anchor_interval)
     with _timed(stage_s, "template coding"):
         chain.admit(anchor)
+    # the gate's side of MS-SSIM is prepared once per admitted template
+    with _timed(stage_s, "gate"):
+        gate_ref = ms_ssim_reference(chain.images[-1])
 
     # pass two: code every frame with the trained state carried forward
     gate_trace: list[float] = []
@@ -198,11 +201,13 @@ def encode(video: VideoSequence, config: EncoderConfig = EncoderConfig()) -> Enc
             state, sep = gmm_update(state, cur)
         candidate = Frame(sep.background.planes, t)
         with _timed(stage_s, "gate"):
-            score = ms_ssim(chain.images[-1], candidate)
+            score = ms_ssim(gate_ref, candidate)
         gate_trace.append(score)
         if t > 0 and score < gamma:          # the anchor already holds frame 0
             with _timed(stage_s, "template coding"):
                 chain.admit(candidate)
+            with _timed(stage_s, "gate"):
+                gate_ref = ms_ssim_reference(chain.images[-1])
         with _timed(stage_s, "region extraction"):
             rs_cur = fp(cur, sep.points)
             used = combine_regions(rs_prev, rs_cur)

@@ -11,7 +11,8 @@ import pytest
 
 from fbv.core import Frame
 from fbv.evaluate import QualityReport, quality_csv, summary_json
-from fbv.metrics import PSNR_CAP_DB, bpp, fb_mixture, laplacian_sharpness, ms_ssim, psnr
+from fbv.metrics import (PSNR_CAP_DB, bpp, fb_mixture, laplacian_sharpness, ms_ssim,
+                         ms_ssim_reference, psnr)
 
 
 def _flat(value, h=64, w=64):
@@ -90,6 +91,27 @@ class TestMsSsim:
         arr = np.random.default_rng(9).integers(0, 256, (48, 48)).astype(np.uint8)
         assert ms_ssim(arr, arr) == pytest.approx(1.0, abs=1e-12)
 
+
+    @pytest.mark.parametrize("h,w,scales", [(176, 192, 5), (24, 24, 2), (44, 60, 3)])
+    def test_prepared_reference_scores_exactly_as_one_shot(self, h, w, scales):
+        # the gate prepares its template once; every score must stay the same float
+        ref = _noise(h, w, seed=10)
+        prepared = ms_ssim_reference(ref)
+        assert len(prepared.weights) == scales
+        rng = np.random.default_rng(11)
+        for amp in (0, 4, 32, 128):
+            b = np.clip(ref.planes.astype(np.int64)
+                        + rng.integers(-amp, amp + 1, ref.planes.shape), 0, 255)
+            other = Frame(b.astype(np.uint8), 1)
+            assert ms_ssim(prepared, other) == ms_ssim(ref, other)
+        assert ms_ssim(prepared, ref) == ms_ssim(ref, ref)
+
+    def test_prepared_reference_checks_dimensions(self):
+        prepared = ms_ssim_reference(_noise(48, 48, seed=12))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            ms_ssim(prepared, _noise(48, 40, seed=13))
+        with pytest.raises(ValueError, match="too small"):
+            ms_ssim_reference(np.zeros((10, 48), dtype=np.uint8))
 
 class TestFbMixture:
     def test_worked_example(self):

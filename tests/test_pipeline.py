@@ -133,6 +133,13 @@ class TestEncodeOnlyEncodes:
         assert len(result.stream.templates) >= 3      # the anchor plus two
         assert len(calls) == len(video.frames)
 
+    def test_one_gate_reference_per_admitted_template(self, monkeypatch):
+        built = _counting(monkeypatch, "ms_ssim_reference", 0)
+        result = encode(step_video(), EncoderConfig(learning_rate=0.2, **FAST))
+        assert len(result.stream.templates) >= 3      # the anchor plus two
+        assert [f.frame_index for f in built] == [
+            tr.frame_no for tr in result.stream.templates]
+
     def test_encode_neither_decodes_nor_scores(self, sq_video, sq_result,
                                                monkeypatch):
         def forbidden(*args, **kwargs):
