@@ -16,6 +16,17 @@ mean moves by rho = min(1, alpha / new_weight); its variance tracks the
 mean squared channel distance to the updated mean, floored at
 VARIANCE_FLOOR. A no-match pixel replaces its lowest-ranked component with
 (NEW_COMPONENT_WEIGHT, frame value, INITIAL_VARIANCE) and renormalizes.
+
+The update works on flat (K, N) views of the state, N = H*W. Each
+component's rank comes from the K(K-1)/2 pairwise key comparisons, a tie
+ranking the lower index first as a stable sort would. The matched component
+is the first maximum of the key over the components that pass the gate, the
+replaced one the component of rank K-1, and the background estimate takes
+the first maximum of the key. Only that one component per pixel is gathered,
+updated and scattered back; the weight decay, the renormalisation and the
+variance floor are whole-array operations. Every float64 operation keeps its
+operands and its order, so the state, the points and the background equal,
+bit for bit, those of the whole-array update kept in tests/refmixture.py.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Frame, FbvError, round_half_up
+from .core import Frame, FbvError
 
 
 COMPONENTS = 4
@@ -80,78 +91,134 @@ def _seed_state(frame: Frame, params: GmmParams) -> GmmState:
     return GmmState(params, weights, means, variances, frames_seen=1)
 
 
-def _rank_order(state: GmmState) -> np.ndarray:
-    """Component indices sorted best-first by weight/sigma, stable."""
-    key = state.weights / np.sqrt(state.variances)
-    return np.argsort(-key, axis=0, kind="stable")
+def _key(weights: np.ndarray, variances: np.ndarray) -> np.ndarray:
+    """The ranking key weight/sigma; a larger key ranks first."""
+    key = np.sqrt(variances)
+    return np.divide(weights, key, out=key)
+
+
+def _first_max(a: np.ndarray) -> np.ndarray:
+    """Per pixel, the index of the first maximum along axis 0, as np.argmax
+    picks it, from K-1 comparisons (np.argmax over the leading axis copies the
+    array to the last axis first, and is several times slower)."""
+    best = a[0]
+    first = np.zeros(best.shape, dtype=np.intp)
+    for k in range(1, len(a)):
+        ahead = a[k] > best
+        first[ahead] = k
+        best = np.maximum(best, a[k])
+    return first
+
+
+def _ranks(key: np.ndarray) -> np.ndarray:
+    """Each component's rank best-first by key, a tie ranking the lower index
+    first: the inverse of a stable argsort of -key, from the pairwise
+    comparisons of the K components. Component k starts at rank k, as if every
+    component before it ranked ahead; when k beats an earlier j, j moves back
+    one rank and k forward one."""
+    ranks = np.repeat(np.arange(COMPONENTS, dtype=np.uint8), key.shape[1]).reshape(key.shape)
+    for k in range(1, COMPONENTS):
+        for j in range(k):
+            beats = (key[k] > key[j]).view(np.uint8)    # else j ranks ahead of k
+            ranks[j] += beats
+            ranks[k] -= beats
+    return ranks
+
+
+def _mean_index(comp: np.ndarray) -> np.ndarray:
+    """Flat indices into (K, 3, N) means of component comp[n]'s channels at each
+    pixel n, shaped (3, N)."""
+    npix = len(comp)
+    return (comp * (3 * npix) + np.arange(npix)) + (np.arange(3) * npix)[:, None]
 
 
 def gmm_update(state: GmmState, frame: Frame) -> tuple[GmmState, SeparationResult]:
-    """Separate one frame against the model, then fold it into the model."""
+    """Separate one frame against the model, then fold it into the model.
+
+    The one changed component per pixel is updated on (3, N) and (N,) arrays;
+    the (3, N) temporaries are reused in place.
+    """
     p = state.params
     if frame.planes.shape[1:] != state.shape:
         raise ValueError("frame dimensions do not match model")
-    x = frame.planes.astype(np.float64)            # (3, H, W)
-    weights, means, variances = state.weights, state.means, state.variances
+    h, w = state.shape
+    npix = h * w
+    pix = np.arange(npix)
+    x = frame.planes.reshape(3, npix).astype(np.float64)        # (3, N)
+    weights = state.weights.reshape(COMPONENTS, npix)
+    means = state.means.reshape(COMPONENTS, 3, npix)
+    variances = state.variances.reshape(COMPONENTS, npix)
 
-    diff = x[None] - means                         # (K, 3, H, W)
-    d2 = np.einsum("kchw,kchw->khw", diff, diff)
-    gate = (d2 <= 3.0 * MATCH_THRESHOLD * variances) & (weights > 0.0)
+    gate = weights > 0.0
+    diff = np.empty_like(x)
+    for k in range(COMPONENTS):
+        np.subtract(x, means[k], out=diff)
+        gate[k] &= np.einsum("cn,cn->n", diff, diff) <= 3.0 * MATCH_THRESHOLD * variances[k]
+    any_match = gate.any(axis=0)
 
-    order = _rank_order(state)                     # (K, H, W) comp index by rank
-    gate_ranked = np.take_along_axis(gate, order, axis=0)
-    any_match = gate_ranked.any(axis=0)
-    first_rank = np.argmax(gate_ranked, axis=0)    # first passing rank
-    matched = np.take_along_axis(order, first_rank[None], axis=0)[0]
+    # the first passing component in rank order is the first maximum of the
+    # gated key; the last in rank order is replaced when none passes
+    key = _key(weights, variances)
+    ranks = _ranks(key)
+    worst = _first_max(ranks)
+    np.putmask(key, ~gate, -1.0)
+    matched = _first_max(key)
 
-    # background label against the pre-update ranking
-    w_ranked = np.take_along_axis(weights, order, axis=0)
-    cum_before = np.cumsum(w_ranked, axis=0) - w_ranked
-    prefix_ranked = cum_before < BG_PREFIX
-    in_prefix = np.take_along_axis(prefix_ranked, first_rank[None], axis=0)[0]
+    # background label against the pre-update ranking: the running sum of the
+    # weights in rank order, less the matched weight, at the matched rank
+    w_ranked = np.empty_like(weights)
+    for k in range(COMPONENTS):
+        w_ranked.ravel()[np.multiply(ranks[k], npix, dtype=np.intp) + pix] = weights[k]
+    cum = w_ranked.copy()
+    for r in range(1, COMPONENTS):
+        cum[r] += cum[r - 1]
+    at_rank = np.multiply(ranks.ravel()[matched * npix + pix], npix, dtype=np.intp) + pix
+    in_prefix = cum.ravel()[at_rank] - w_ranked.ravel()[at_rank] < BG_PREFIX
     points = ~(any_match & in_prefix)
 
     n = state.frames_seen + 1
     alpha = max(p.learning_rate, 1.0 / n)
 
-    new_w = weights.copy()
+    # matched pixels decay every weight and move the matched component
+    new_w = weights * np.where(any_match, 1.0 - alpha, 1.0)
+    comp = np.where(any_match, matched, worst)
+    at = comp * npix + pix                                       # into (K, N)
+    at_mu = _mean_index(comp)                                    # into (K, 3, N)
+    w_c = new_w.ravel()[at] + alpha
+    rho = np.clip(alpha / np.maximum(w_c, 1e-12), 0.0, 1.0)
+    mu_c = means.ravel()[at_mu]                                  # (3, N)
+    mu_moved = np.subtract(x, mu_c, out=diff)
+    mu_moved *= rho
+    mu_moved += mu_c                            # mu + rho * (x - mu)
+    dn = np.subtract(x, mu_moved, out=mu_c)
+    d2_new = np.einsum("cn,cn->n", dn, dn) / 3.0
+    var_moved = (1.0 - rho) * variances.ravel()[at] + rho * d2_new
+
+    # unmatched pixels overwrite the worst-ranked component; then renormalize
+    np.copyto(mu_moved, x, where=~any_match)
     new_mu = means.copy()
+    new_mu.ravel()[at_mu] = mu_moved
+    new_w.ravel()[at] = np.where(any_match, w_c, NEW_COMPONENT_WEIGHT)
     new_var = variances.copy()
+    new_var.ravel()[at] = np.where(any_match, var_moved, INITIAL_VARIANCE)
+    new_w /= new_w.sum(axis=0)
+    np.maximum(new_var, VARIANCE_FLOOR, out=new_var)
 
-    # matched pixels: decay all weights, bump the matched component
-    sel = np.arange(COMPONENTS)[:, None, None] == matched[None]
-    upd = sel & any_match[None]
-    new_w = np.where(any_match[None], (1.0 - alpha) * new_w, new_w)
-    new_w = np.where(upd, new_w + alpha, new_w)
-
-    rho = np.clip(alpha / np.maximum(new_w, 1e-12), 0.0, 1.0)
-    mu_moved = means + rho[:, None] * (x[None] - means)
-    new_mu = np.where(upd[:, None], mu_moved, new_mu)
-    dn = x[None] - new_mu
-    d2_new = np.einsum("kchw,kchw->khw", dn, dn) / 3.0
-    var_moved = (1.0 - rho) * variances + rho * d2_new
-    new_var = np.where(upd, var_moved, new_var)
-
-    # unmatched pixels: overwrite the worst-ranked component, renormalize
-    worst = order[-1]
-    repl = (np.arange(COMPONENTS)[:, None, None] == worst[None]) & ~any_match[None]
-    new_w = np.where(repl, NEW_COMPONENT_WEIGHT, new_w)
-    new_mu = np.where(repl[:, None], x[None], new_mu)
-    new_var = np.where(repl, INITIAL_VARIANCE, new_var)
-    new_w = new_w / new_w.sum(axis=0, keepdims=True)
-    new_var = np.maximum(new_var, VARIANCE_FLOOR)
-
-    out = GmmState(p, new_w, new_mu, new_var, frames_seen=n)
+    out = GmmState(p, new_w.reshape(COMPONENTS, h, w), new_mu.reshape(COMPONENTS, 3, h, w),
+                   new_var.reshape(COMPONENTS, h, w), frames_seen=n)
     background = background_estimate(out, frame.frame_index)
-    return out, SeparationResult(background=background, points=points)
+    return out, SeparationResult(background=background, points=points.reshape(h, w))
 
 
 def background_estimate(state: GmmState, frame_index: int = 0) -> Frame:
-    """Current background template: top-ranked component means, rounded."""
-    top = _rank_order(state)[0]                     # (H, W)
-    mu = np.take_along_axis(state.means, top[None, None], axis=0)[0]
-    planes = np.clip(round_half_up(mu), 0, 255).astype(np.uint8)
-    return Frame(planes, frame_index)
+    """Current background template: top-ranked component means, rounded. The top
+    component is the first maximum of weight/sigma, as a stable sort ranks it."""
+    h, w = state.shape
+    key = _key(state.weights, state.variances).reshape(COMPONENTS, h * w)
+    mu = state.means.ravel()[_mean_index(_first_max(key))]      # (3, N)
+    mu += 0.5                                   # round half up, in place
+    planes = np.clip(np.floor(mu, out=mu), 0, 255, out=mu).astype(np.uint8)
+    return Frame(planes.reshape(3, h, w), frame_index)
 
 
 def gmm_init(frames, params: GmmParams = GmmParams()) -> GmmState:

@@ -135,6 +135,8 @@ def fp(frame: Frame, points: np.ndarray) -> RegionSet:
     h, w = frame.height, frame.width
     if points.shape != (h, w):
         raise ValueError("points mask does not match frame dimensions")
+    if not points.any():        # every cleanup stage maps an empty mask to no regions
+        return RegionSet((), h, w)
     m = _majority(points.astype(bool))
     o = np.ones((OPEN_SIZE, OPEN_SIZE), dtype=bool)
     m = ndimage.binary_opening(m, structure=o)

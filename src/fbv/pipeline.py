@@ -6,9 +6,10 @@ background estimate as the first (anchor) template at frame 0. Pass two
 revisits every frame from 0 with the model state carried forward: each
 frame is separated into background estimate plus foreground points, the
 estimate is gated against the current template (luma MS-SSIM below gamma
-admits a new template), the points grow into grid-aligned regions, and the
-union of the previous and current frame's regions is coded by block flow
-plus a transformed residual against the motion-compensated previous
+admits a new template; an estimate equal to the last one scored against the
+same template keeps its score), the points grow into grid-aligned regions,
+and the union of the previous and current frame's regions is coded by block
+flow plus a transformed residual against the motion-compensated previous
 *reconstructed* foreground. Frames with no regions fall into background
 segments and reset the foreground reference, so every contiguous run of
 foreground records starts from a zero reference.
@@ -192,6 +193,7 @@ def encode(video: VideoSequence, config: EncoderConfig = EncoderConfig()) -> Enc
 
     # pass two: code every frame with the trained state carried forward
     gate_trace: list[float] = []
+    scored: np.ndarray | None = None    # planes of the candidate gate_ref last scored
     coded: list[tuple] = []             # (frame, regions, flow, residual) per fg record
     fg_recon: dict[int, tuple[RegionSet, Frame]] = {}
     prev_fg: Frame | None = None
@@ -200,14 +202,18 @@ def encode(video: VideoSequence, config: EncoderConfig = EncoderConfig()) -> Enc
         with _timed(stage_s, "separation"):
             state, sep = gmm_update(state, cur)
         candidate = Frame(sep.background.planes, t)
+        # an unchanged candidate against an unchanged template keeps its score
         with _timed(stage_s, "gate"):
-            score = ms_ssim(gate_ref, candidate)
+            if scored is None or not np.array_equal(scored, candidate.planes):
+                score = ms_ssim(gate_ref, candidate)
+                scored = candidate.planes
         gate_trace.append(score)
         if t > 0 and score < gamma:          # the anchor already holds frame 0
             with _timed(stage_s, "template coding"):
                 chain.admit(candidate)
             with _timed(stage_s, "gate"):
                 gate_ref = ms_ssim_reference(chain.images[-1])
+            scored = None
         with _timed(stage_s, "region extraction"):
             rs_cur = fp(cur, sep.points)
             used = combine_regions(rs_prev, rs_cur)

@@ -1,8 +1,10 @@
-"""Per-pixel mixture background model against an independent scalar oracle."""
+"""Per-pixel mixture background model against an independent scalar oracle,
+and against the whole-array update it must equal bit for bit."""
 
 import numpy as np
 import pytest
 
+import refmixture
 from fbv.bgmodel import (BG_PREFIX, COMPONENTS, INITIAL_VARIANCE, MATCH_THRESHOLD,
                          NEW_COMPONENT_WEIGHT, VARIANCE_FLOOR, GmmParams, GmmState,
                          background_estimate, gmm_init, gmm_update)
@@ -120,6 +122,100 @@ class TestAgainstScalarOracle:
             assert np.allclose(sorted(w_state), sorted(ref.w), atol=1e-9)
             assert np.allclose(sorted(state.variances[:, py, px]),
                                sorted(ref.var), atol=1e-7)
+
+
+def _piecewise_constant(seed, n, h, w, hold):
+    """Random colours that each pixel keeps from frame to frame with probability hold."""
+    rng = np.random.default_rng(seed)
+    video = rng.integers(0, 256, (n, 3, h, w))
+    kept = rng.random((n, 1, h, w)) < hold
+    for t in range(1, n):
+        video[t] = np.where(kept[t], video[t - 1], video[t])
+    return _video(list(video))
+
+
+def _assert_matches_reference(frames, learning_rate, state=None):
+    """Step the update and the reference from one state (by default the seed
+    state of the first frame), each on its own state, and require equal arrays
+    after every frame."""
+    if state is None:
+        state = gmm_init(frames[:1], GmmParams(learning_rate=learning_rate, init_frames=1))
+        frames = frames[1:]
+    ref = state
+    for f in frames:
+        state, sep = gmm_update(state, f)
+        ref, ref_sep = refmixture.gmm_update(ref, f)
+        t = f.frame_index
+        assert state.frames_seen == ref.frames_seen
+        assert np.array_equal(state.weights, ref.weights), t
+        assert np.array_equal(state.means, ref.means), t
+        assert np.array_equal(state.variances, ref.variances), t
+        assert np.array_equal(sep.points, ref_sep.points), t
+        assert np.array_equal(sep.background.planes, ref_sep.background.planes), t
+        assert sep.background.frame_index == ref_sep.background.frame_index
+        assert np.array_equal(background_estimate(state, t).planes,
+                              refmixture.background_estimate(ref, t).planes), t
+
+
+class TestAgainstWholeArrayReference:
+    @pytest.mark.parametrize("seed,hold", [(1, 0.5), (2, 0.85), (3, 0.97)])
+    @pytest.mark.parametrize("learning_rate", [0.005, 0.2, 1.0])
+    def test_random_piecewise_constant_clips(self, seed, hold, learning_rate):
+        _assert_matches_reference(_piecewise_constant(seed, 40, 24, 40, hold),
+                                  learning_rate)
+
+    @pytest.mark.parametrize("learning_rate", [0.005, 0.2])
+    def test_tied_keys_and_replacements(self, learning_rate):
+        # the seed state's three zero-weight components tie at key 0, and two
+        # colours far apart alternate, so no-match replacements keep firing
+        # while the ties are broken by index
+        rng = np.random.default_rng(5)
+        a = rng.integers(0, 100, (3, 16, 24))
+        b = a + 150
+        frames = _video([a if t % 2 == 0 else b for t in range(30)])
+        state = gmm_init(frames[:1], GmmParams(init_frames=1))
+        assert (state.weights[1:] == 0.0).all()
+        _assert_matches_reference(frames, learning_rate)
+
+    def test_ties_between_live_components(self):
+        # equal weights and variances tie every key; means 20 apart let one
+        # pixel pass the gate of two tied components, and the lower index wins
+        rng = np.random.default_rng(7)
+        h, w = 16, 24
+        means = np.broadcast_to((20.0 * np.arange(COMPONENTS))[:, None, None, None],
+                                (COMPONENTS, 3, h, w)).copy()
+        state = GmmState(GmmParams(), np.full((COMPONENTS, h, w), 1.0 / COMPONENTS), means,
+                         np.full((COMPONENTS, h, w), INITIAL_VARIANCE), frames_seen=300)
+        frames = _video([rng.integers(0, 80, (3, h, w)) for _ in range(6)])
+        _assert_matches_reference(frames, state.params.learning_rate, state)
+
+    def test_prefix_is_running_sum_less_the_matched_weight(self):
+        # a pixel matches its second-ranked component; the weight ahead of it
+        # is 0.75 give or take a few ulps, and (w0 + w1) - w1 falls on the other
+        # side of BG_PREFIX from w0 itself on some pixels, so only the running
+        # sum less the matched weight labels every pixel as the reference does
+        w0 = BG_PREFIX + np.arange(-8, 8)[:, None] * np.spacing(BG_PREFIX)
+        w1 = np.linspace(0.26, 0.74, 49)[None, :]
+        exact = (w0 + w1) - w1 < BG_PREFIX
+        assert (exact != (w0 < BG_PREFIX)).any()
+        h, w = exact.shape
+        weights = np.zeros((COMPONENTS, h, w))
+        weights[0], weights[1] = w0, w1
+        means = np.zeros((COMPONENTS, 3, h, w))
+        means[1] = 200.0
+        state = GmmState(GmmParams(), weights, means,
+                         np.full((COMPONENTS, h, w), INITIAL_VARIANCE), frames_seen=300)
+        frame = Frame(np.full((3, h, w), 200, dtype=np.uint8), 0)
+        _, sep = gmm_update(state, frame)
+        assert np.array_equal(sep.points, ~exact)
+        _assert_matches_reference([frame], state.params.learning_rate, state)
+
+    def test_full_size_frame_pair(self):
+        rng = np.random.default_rng(9)
+        first = rng.integers(0, 256, (3, 240, 320))
+        second = np.clip(first + rng.integers(-3, 4, first.shape), 0, 255)
+        second[:, 60:140, 100:220] = rng.integers(0, 256, (3, 80, 120))
+        _assert_matches_reference(_video([first, second]), 0.005)
 
 
 class TestInit:

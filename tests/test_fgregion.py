@@ -222,10 +222,36 @@ class TestCleanupStages:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fgregion.ndimage, "label",
                        lambda m, **kw: cleaned.append(m) or label(m, **kw))
-            fp(_frame(h, w), points)
+            rs = fp(_frame(h, w), points)
+        if not cleaned:             # an empty mask returns before the cleanup
+            assert not points.any() and rs.regions == ()
+            return
         labels, count = label(cleaned[0], structure=np.ones((3, 3), dtype=bool))
         sizes = np.bincount(labels.ravel(), minlength=count + 1)[1:]
         assert (sizes >= 25).all()
+
+
+class TestEmptyMask:
+    def test_no_points_give_no_regions_without_the_cleanup(self, monkeypatch):
+        class Untouchable:
+            def __getattr__(self, name):
+                raise AssertionError(f"ndimage.{name} ran on an empty mask")
+
+        monkeypatch.setattr(fgregion, "ndimage", Untouchable())
+        rs = fp(_frame(24, 40), np.zeros((24, 40), dtype=bool))
+        assert rs == RegionSet((), 24, 40)
+
+    def test_the_cleanup_maps_no_points_to_no_regions(self):
+        # what the early return skips: every stage keeps an empty mask empty
+        m = np.zeros((24, 40), dtype=bool)
+        m = fgregion._majority(m)
+        m = ndimage.binary_opening(m, structure=np.ones((OPEN_SIZE, OPEN_SIZE), dtype=bool))
+        m = ndimage.binary_dilation(m, structure=np.ones((DILATE_SIZE, DILATE_SIZE), dtype=bool))
+        assert ndimage.label(m, structure=np.ones((3, 3), dtype=bool))[1] == 0
+
+    def test_empty_mask_of_the_wrong_shape_is_rejected(self):
+        with pytest.raises(ValueError, match="points mask"):
+            fp(_frame(24, 40), np.zeros((24, 41), dtype=bool))
 
 
 class TestRegionSetProperties:

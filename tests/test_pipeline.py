@@ -5,6 +5,7 @@ import struct
 import time
 import tracemalloc
 import weakref
+from bisect import bisect_left
 from dataclasses import fields, replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from fbv.container import (ContainerError, FbvStream, StreamHeader, TemplateReco
 from fbv.core import ConfigError, FbvError, Frame, VideoSequence
 from fbv.entropy import EntropyDecodeError
 from fbv.evaluate import rd_sweep, score, sweep_csv
-from fbv.metrics import ms_ssim
+from fbv.metrics import ms_ssim, ms_ssim_reference
 from fbv.pipeline import (QUALITY_LADDER, EncoderConfig, analyze_bytes, decode_bytes,
                           decode_frame, decode_stream, encode, ladder_point)
 from fbv.residual import QualityPoint
@@ -119,19 +120,48 @@ def static_result(static_clip):
     return encode(static_clip, EncoderConfig(**FAST))
 
 
+def _candidates(monkeypatch):
+    """The background estimate planes encode's pass two gates, one per frame."""
+    planes = []
+    original = pipeline.gmm_update
+
+    def recorded(state, frame):
+        state, sep = original(state, frame)
+        planes.append(sep.background.planes)
+        return state, sep
+
+    monkeypatch.setattr(pipeline, "gmm_update", recorded)
+    return planes
+
+
 class TestEncodeOnlyEncodes:
-    def test_one_gate_evaluation_per_frame(self, monkeypatch):
+    def test_one_gate_evaluation_per_changed_candidate_or_template(self, monkeypatch):
         video = step_video()
-        calls = []
-
-        def counted(a, b):
-            calls.append(None)
-            return ms_ssim(a, b)
-
-        monkeypatch.setattr(pipeline, "ms_ssim", counted)
+        candidates = _candidates(monkeypatch)
+        scored = _counting(monkeypatch, "ms_ssim", 1)
         result = encode(video, EncoderConfig(learning_rate=0.2, **FAST))
-        assert len(result.stream.templates) >= 3      # the anchor plus two
-        assert len(calls) == len(video.frames)
+        admitted = {tr.frame_no for tr in result.stream.templates} - {0}
+        assert len(admitted) >= 2                     # beside the anchor at frame 0
+        # frame t is scored when its candidate differs from frame t-1's or
+        # frame t-1 admitted a template; frame 0 always is
+        want = [t for t in range(len(video.frames))
+                if t == 0 or t - 1 in admitted
+                or not np.array_equal(candidates[t], candidates[t - 1])]
+        assert [c.frame_index for c in scored] == want
+        assert len(want) < len(video.frames)
+
+    def test_gate_trace_is_the_score_against_the_template_in_force(self, monkeypatch):
+        video = step_video()
+        candidates = _candidates(monkeypatch)
+        result = encode(video, EncoderConfig(learning_rate=0.2, **FAST))
+        dec = pipeline.Decoder(result.stream)
+        tframes = [tr.frame_no for tr in result.stream.templates]
+        assert len(result.gate_trace) == len(candidates) == len(video.frames)
+        for t, planes in enumerate(candidates):
+            # the last template admitted before frame t's gate; frame 0's is the anchor
+            j = max(bisect_left(tframes, t) - 1, 0)
+            want = ms_ssim(ms_ssim_reference(dec.template(j)), Frame(planes, t))
+            assert result.gate_trace[t] == want, t
 
     def test_one_gate_reference_per_admitted_template(self, monkeypatch):
         built = _counting(monkeypatch, "ms_ssim_reference", 0)
@@ -151,6 +181,11 @@ class TestEncodeOnlyEncodes:
 
 
 class TestStaticScene:
+    def test_one_gate_evaluation_for_the_unchanging_candidate(self, static_clip,
+                                                               static_result, monkeypatch):
+        scored = _counting(monkeypatch, "ms_ssim", 1)
+        assert encode(static_clip, EncoderConfig(**FAST)).data == static_result.data
+        assert len(scored) == 1
 
     def test_stream_shape(self, static_clip, static_result):
         stream = static_result.stream
