@@ -17,10 +17,10 @@ from dataclasses import fields, replace
 from .container import read_stream
 from .core import FbvError, read_y4m, write_y4m
 from .entropy import EntropyDecodeError
-from .evaluate import quality_csv, rd_sweep, score, summary_json, sweep_csv
+from .evaluate import analyze_bytes, quality_csv, rd_sweep, score, summary_json, sweep_csv
 from .metrics import bpp
-from .pipeline import (QUALITY_LADDER, Decoder, EncoderConfig, analyze_bytes, decode_bytes,
-                       encode, ladder_point, output_frames)
+from .pipeline import (QUALITY_LADDER, Decoder, EncoderConfig, decode_bytes, encode,
+                       ladder_point, output_frames)
 from .residual import QualityPoint
 
 EXIT_OK = 0

@@ -40,9 +40,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .core import FbvError, MIN_DIM, Region
+from .core import FbvError, MIN_DIM, Region, RegionSet
 from .entropy import BitBudgetReport
-from .fgregion import RegionSet
 from .residual import QualityPoint
 
 MAGIC = b"FBVC"

@@ -1,4 +1,4 @@
-"""Frame primitives and Y4M video I/O.
+"""Frame and region primitives and Y4M video I/O.
 
 Frames are 8-bit Y'CbCr at full (4:4:4) resolution internally; 4:2:0 input
 is upsampled by sample duplication at ingest and downsampled by 2x2 mean at
@@ -13,6 +13,7 @@ import itertools
 import os
 import re
 import stat
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import BinaryIO
@@ -32,11 +33,6 @@ class ConfigError(FbvError, ValueError):
 
 class VideoFormatError(FbvError):
     """Malformed or unsupported raw-video input."""
-
-
-def round_half_up(x: np.ndarray) -> np.ndarray:
-    """Round to nearest integer, halves toward +infinity. Returns int64."""
-    return np.floor(np.asarray(x, dtype=np.float64) + 0.5).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -65,10 +61,6 @@ class Frame:
     @property
     def width(self) -> int:
         return self.planes.shape[2]
-
-
-def frame_from_planes(y: np.ndarray, cb: np.ndarray, cr: np.ndarray, frame_index: int = 0) -> Frame:
-    return Frame(np.stack([y, cb, cr]).astype(np.uint8), frame_index)
 
 
 @dataclass(frozen=True)
@@ -102,6 +94,48 @@ class Region:
         x1 = min(self.x, other.x)
         y1 = min(self.y, other.y)
         return Region(x1, y1, max(self.x2, other.x2) - x1, max(self.y2, other.y2) - y1)
+
+
+@dataclass(frozen=True)
+class RegionSet:
+    """Disjoint rectangles plus the frame geometry they live in."""
+
+    regions: tuple[Region, ...]
+    height: int
+    width: int
+
+    def __post_init__(self) -> None:
+        for r in self.regions:
+            if r.x2 > self.width or r.y2 > self.height:
+                raise ValueError(f"region {r} exceeds {self.width}x{self.height}")
+        _check_disjoint(self.regions)
+
+    @property
+    def mask(self) -> np.ndarray:
+        m = np.zeros((self.height, self.width), dtype=bool)
+        for r in self.regions:
+            m[r.y:r.y2, r.x:r.x2] = True
+        return m
+
+
+def _check_disjoint(regions: tuple[Region, ...]) -> None:
+    """Raise ValueError if two rectangles overlap, in O(n log n) comparisons:
+    a sweep down the rows keeps the disjoint x-intervals crossing the row
+    sorted, so a new one can only overlap its two neighbours. Rectangles
+    leave a row before others arrive on it, as touching edges do not overlap."""
+    events = sorted([(r.y2, 0, i) for i, r in enumerate(regions)]
+                    + [(r.y, 1, i) for i, r in enumerate(regions)])
+    active: list[tuple[int, int, int]] = []        # (x, x2, index), sorted
+    for _, arrives, i in events:
+        r = regions[i]
+        pos = bisect_left(active, (r.x, r.x2, i))
+        if not arrives:
+            del active[pos]
+            continue
+        for _, _, j in active[max(pos - 1, 0):pos + 1]:
+            if regions[j].overlaps(r):
+                raise ValueError(f"regions overlap: {regions[j]} / {r}")
+        active.insert(pos, (r.x, r.x2, i))
 
 
 @dataclass(frozen=True)
@@ -233,7 +267,7 @@ def _read_frame_payload(stream: BinaryIO, width: int, height: int,
     else:
         cb = np.frombuffer(buf, np.uint8, csize, ysize).reshape(height, width)
         cr = np.frombuffer(buf, np.uint8, csize, ysize + csize).reshape(height, width)
-    return frame_from_planes(y.copy(), cb.copy(), cr.copy(), index)
+    return Frame(np.stack([y, cb, cr]), index)
 
 
 def write_y4m(seq: VideoSequence | Iterable[Frame], target: str | BinaryIO,

@@ -6,13 +6,13 @@ seams: every pixel outside the mask within Chebyshev distance D <= BAND of
 some region is replaced by a blend of its nearest inside value f and an
 outside anchor value g sampled BAND+1 pixels out,
 
-    out = round_half_up(((BAND+1-D) * f + D * g) / (BAND+1))
+    out = floor(((BAND+1-D) * f + D * g) / (BAND+1) + 1/2)
 
-so the values ramp linearly from nearly-foreground at the region edge down
-to the untouched surround. Pixels inside the mask and pixels farther than
-BAND are never modified, and the blend sources (inside pixels, anchors at
-distance BAND+1) are themselves unmodified, which makes the filter
-idempotent away from frame borders. The enhancer runs decoder-side only;
+(the blend rounded half up), so the values ramp linearly from
+nearly-foreground at the region edge down to the untouched surround. Pixels
+inside the mask and pixels farther than BAND are never modified, and the
+blend sources (inside pixels, anchors at distance BAND+1) are themselves
+unmodified, which makes the filter idempotent away from frame borders. The enhancer runs decoder-side only;
 prediction references the pre-enhancement reconstruction.
 """
 
@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Frame
-from .fgregion import RegionSet
+from .core import Frame, RegionSet
 
 BAND = 3      # feathering width in pixels outside each region edge
 

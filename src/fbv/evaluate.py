@@ -5,19 +5,19 @@ score measures a decoded sequence against the video it came from (PSNR and
 MS-SSIM per frame, rate, sharpness and the foreground/background MS-SSIM
 mixture); rd_sweep encodes, decodes and scores once per quality point. This
 is the one module that knows the report formats: the per-frame quality CSV,
-the one-line JSON summary and the sweep CSV.
+the one-line JSON summary, the sweep CSV and the stream dump of analyze_bytes.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .container import read_stream
-from .core import ConfigError, VideoSequence
-from .fgregion import RegionSet
+from .container import budget_of, foreground_payload, read_stream, template_payload
+from .core import ConfigError, RegionSet, VideoSequence
 from .metrics import bpp, fb_mixture, laplacian_sharpness, ms_ssim, psnr
 from .pipeline import EncoderConfig, decode_bytes, encode, ladder_point
 from .residual import QualityPoint
@@ -136,3 +136,43 @@ def sweep_csv(rows) -> str:
         out.append(f"{r.delta_q:g},{r.levels},{r.bpp:.6f},{r.psnr_db:.4f},"
                    f"{r.ms_ssim:.6f},{r.fb_mixture:.6f}")
     return "\n".join(out) + "\n"
+
+
+def analyze_bytes(data: bytes) -> str:
+    """Human-readable stream dump: header, records, indexes, bit split, bpp."""
+    stream = read_stream(data)
+    h = stream.header
+    budget = budget_of(stream)
+    rate = bpp(len(data), h.width, h.height, h.frame_count)
+    br, fr, fmv = budget.ratios
+    out = io.StringIO()
+    p = lambda *a: print(*a, file=out)
+    p(f"container: {len(data)} bytes, {h.frame_count} frames, "
+      f"{h.width}x{h.height} @ {h.fps_num}/{h.fps_den} fps")
+    p(f"quality: delta={h.quality.delta_q:g} levels={h.levels}  "
+      f"gate gamma={h.gamma:g}  flags={h.flags}")
+    p("")
+    p("records:")
+    p("  kind        frame  payload_bytes  detail")
+    rows = sorted(
+        [(t.frame_no, 0, t) for t in stream.templates]
+        + [(f.frame_no, 1, f) for f in stream.foregrounds])
+    for _, kind, rec in rows:
+        if kind == 0:
+            tag = "anchor" if rec.anchor else "chained"
+            p(f"  template  {rec.frame_no:7d}  {len(template_payload(rec)):13d}  {tag}")
+        else:
+            p(f"  fgframe   {rec.frame_no:7d}  {len(foreground_payload(rec)):13d}  "
+              f"{len(rec.regions)} region(s), flow {len(rec.flow)} B, "
+              f"residual {len(rec.residual)} B")
+    p("")
+    p(f"template index: {[t.frame_no for t in stream.templates]}")
+    p(f"foreground index: {[f.frame_no for f in stream.foregrounds]}")
+    p(f"segments: {list(stream.segments)}")
+    p("")
+    p("bit allocation (entropy payloads):")
+    p(f"  BR  background residual  {budget.bits_bg_residual:10d} bits  {br:7.4f}")
+    p(f"  FR  foreground residual  {budget.bits_fg_residual:10d} bits  {fr:7.4f}")
+    p(f"  FMV foreground motion    {budget.bits_fg_motion:10d} bits  {fmv:7.4f}")
+    p(f"bpp: {rate:.6f}")
+    return out.getvalue()

@@ -20,13 +20,12 @@ origin inward instead, so every region is at least 8x8.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from heapq import heappop, heappush
 
 import numpy as np
 from scipy import ndimage
 
-from .core import Frame, Region
+from .core import Frame, Region, RegionSet
 
 MAJORITY_VOTES = 5
 OPEN_SIZE = 3
@@ -34,48 +33,6 @@ DILATE_SIZE = 5
 GRID = 8
 
 _CONN8 = np.ones((3, 3), dtype=bool)
-
-
-@dataclass(frozen=True)
-class RegionSet:
-    """Disjoint rectangles plus the frame geometry they live in."""
-
-    regions: tuple[Region, ...]
-    height: int
-    width: int
-
-    def __post_init__(self) -> None:
-        for r in self.regions:
-            if r.x2 > self.width or r.y2 > self.height:
-                raise ValueError(f"region {r} exceeds {self.width}x{self.height}")
-        _check_disjoint(self.regions)
-
-    @property
-    def mask(self) -> np.ndarray:
-        m = np.zeros((self.height, self.width), dtype=bool)
-        for r in self.regions:
-            m[r.y:r.y2, r.x:r.x2] = True
-        return m
-
-
-def _check_disjoint(regions: tuple[Region, ...]) -> None:
-    """Raise ValueError if two rectangles overlap, in O(n log n) comparisons:
-    a sweep down the rows keeps the disjoint x-intervals crossing the row
-    sorted, so a new one can only overlap its two neighbours. Rectangles
-    leave a row before others arrive on it, as touching edges do not overlap."""
-    events = sorted([(r.y2, 0, i) for i, r in enumerate(regions)]
-                    + [(r.y, 1, i) for i, r in enumerate(regions)])
-    active: list[tuple[int, int, int]] = []        # (x, x2, index), sorted
-    for _, arrives, i in events:
-        r = regions[i]
-        pos = bisect_left(active, (r.x, r.x2, i))
-        if not arrives:
-            del active[pos]
-            continue
-        for _, _, j in active[max(pos - 1, 0):pos + 1]:
-            if regions[j].overlaps(r):
-                raise ValueError(f"regions overlap: {regions[j]} / {r}")
-        active.insert(pos, (r.x, r.x2, i))
 
 
 def _majority(points: np.ndarray) -> np.ndarray:

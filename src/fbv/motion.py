@@ -35,10 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Frame, Region
+from .core import Frame, Region, RegionSet
 from .entropy import (ContextModel, EntropyDecodeError, bin_decoder, decode_eg0, eg0_bins,
                       encode_bins)
-from .fgregion import RegionSet
 
 BLOCK = 8
 SEARCH_RANGE = 16  # integer pels each side

@@ -40,7 +40,6 @@ stream still replays it from its start. The stream is the same either way.
 
 from __future__ import annotations
 
-import io
 import operator
 import time
 import weakref
@@ -55,13 +54,12 @@ from .bgmodel import GmmParams, background_estimate, gmm_init, gmm_update
 from .bgtemplate import (ANCHOR_INTERVAL, DEFAULT_GAMMA, TemplateChain, decode_template,
                          interpolated_background)
 from .container import (GAMMA_SCALE, ContainerError, FbvStream, ForegroundRecord,
-                        StreamHeader, budget_of, foreground_payload, read_stream,
-                        template_payload, write_stream)
-from .core import ConfigError, Frame, VideoSequence
+                        StreamHeader, budget_of, read_stream, write_stream)
+from .core import ConfigError, Frame, RegionSet, VideoSequence
 from .decode import composite, enhance
 from .entropy import BitBudgetReport
-from .fgregion import RegionSet, combine_regions, fp
-from .metrics import bpp, ms_ssim, ms_ssim_reference
+from .fgregion import combine_regions, fp
+from .metrics import ms_ssim, ms_ssim_reference
 from .motion import decode_flow, encode_flow, estimate_flow, warp
 from .residual import QualityPoint, decode_residual, encode_residual, \
     reconstruct_foreground
@@ -405,42 +403,3 @@ def decode_frame(stream: FbvStream, frame_no: int) -> Frame:
     checkpoints of earlier seeks are kept while the stream lives."""
     return _output(*next(_decoder(stream).frames(frame_no)))
 
-
-def analyze_bytes(data: bytes) -> str:
-    """Human-readable stream dump: header, records, indexes, bit split, bpp."""
-    stream = read_stream(data)
-    h = stream.header
-    budget = budget_of(stream)
-    rate = bpp(len(data), h.width, h.height, h.frame_count)
-    br, fr, fmv = budget.ratios
-    out = io.StringIO()
-    p = lambda *a: print(*a, file=out)
-    p(f"container: {len(data)} bytes, {h.frame_count} frames, "
-      f"{h.width}x{h.height} @ {h.fps_num}/{h.fps_den} fps")
-    p(f"quality: delta={h.quality.delta_q:g} levels={h.levels}  "
-      f"gate gamma={h.gamma:g}  flags={h.flags}")
-    p("")
-    p("records:")
-    p("  kind        frame  payload_bytes  detail")
-    rows = sorted(
-        [(t.frame_no, 0, t) for t in stream.templates]
-        + [(f.frame_no, 1, f) for f in stream.foregrounds])
-    for _, kind, rec in rows:
-        if kind == 0:
-            tag = "anchor" if rec.anchor else "chained"
-            p(f"  template  {rec.frame_no:7d}  {len(template_payload(rec)):13d}  {tag}")
-        else:
-            p(f"  fgframe   {rec.frame_no:7d}  {len(foreground_payload(rec)):13d}  "
-              f"{len(rec.regions)} region(s), flow {len(rec.flow)} B, "
-              f"residual {len(rec.residual)} B")
-    p("")
-    p(f"template index: {[t.frame_no for t in stream.templates]}")
-    p(f"foreground index: {[f.frame_no for f in stream.foregrounds]}")
-    p(f"segments: {list(stream.segments)}")
-    p("")
-    p("bit allocation (entropy payloads):")
-    p(f"  BR  background residual  {budget.bits_bg_residual:10d} bits  {br:7.4f}")
-    p(f"  FR  foreground residual  {budget.bits_fg_residual:10d} bits  {fr:7.4f}")
-    p(f"  FMV foreground motion    {budget.bits_fg_motion:10d} bits  {fmv:7.4f}")
-    p(f"bpp: {rate:.6f}")
-    return out.getvalue()

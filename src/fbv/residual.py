@@ -155,7 +155,8 @@ class QualityPoint:
             raise ValueError("delta_q must be finite and > 0")
         if not (1 <= self.levels <= 12):
             raise ValueError("levels must be in 1..12")
-        if not (1 <= self.delta_fp <= 0xFFFF):
+        # bounded before delta_fp rounds it: a huge step would overflow the rounding
+        if not (self.delta_q < 256 and 1 <= self.delta_fp <= 0xFFFF):
             raise ValueError("delta_q out of range for 8.8 fixed point (1/256 .. 255.99)")
 
     @property

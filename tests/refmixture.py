@@ -15,7 +15,12 @@ import numpy as np
 
 from fbv.bgmodel import (BG_PREFIX, COMPONENTS, INITIAL_VARIANCE, MATCH_THRESHOLD,
                          NEW_COMPONENT_WEIGHT, VARIANCE_FLOOR, GmmState, SeparationResult)
-from fbv.core import Frame, round_half_up
+from fbv.core import Frame
+
+
+def round_half_up(x: np.ndarray) -> np.ndarray:
+    """Round to nearest integer, halves toward +infinity. Returns int64."""
+    return np.floor(np.asarray(x, dtype=np.float64) + 0.5).astype(np.int64)
 
 
 def rank_order(state: GmmState) -> np.ndarray:

@@ -10,9 +10,8 @@ import scipy.ndimage as ndi
 
 from fbv.bgtemplate import interpolated_background
 from fbv.container import ContainerError, budget_of, read_stream, write_stream
-from fbv.core import Frame, VideoSequence
+from fbv.core import Frame, Region, RegionSet, VideoSequence
 from fbv.entropy import ContextModel, decode_bits, encode_bits
-from fbv.fgregion import Region, RegionSet
 from fbv.metrics import bpp, fb_mixture, laplacian_sharpness, ms_ssim, psnr
 from fbv.motion import estimate_flow, warp
 from fbv.evaluate import rd_sweep

@@ -12,8 +12,7 @@ import pytest
 from fbv import pipeline
 from fbv.cli import EXIT_FORMAT, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from fbv.container import read_stream, write_stream
-from fbv.core import read_y4m, write_y4m
-from fbv.fgregion import RegionSet
+from fbv.core import RegionSet, read_y4m, write_y4m
 from fbv.motion import decode_flow, encode_flow
 from fbv.pipeline import decode_bytes
 
@@ -288,18 +287,26 @@ class TestExitCodes:
         assert rc == EXIT_USAGE
         assert not out.exists()
 
-    def test_non_finite_quantizer_step_is_a_usage_error(self, work, tmp_path):
-        # the step travels as round(delta_q * 256); infinity has no such form
-        _, src, _ = work
-        cfg = tmp_path / "inf.cfg"
-        cfg.write_text("init_frames = 8\ndelta_q = inf\n")
+    @staticmethod
+    def _step_is_a_usage_error(src, tmp_path, step):
+        """As a flag, a config key and a sweep point, exit 2 and no output."""
+        cfg = tmp_path / "step.cfg"
+        cfg.write_text(f"init_frames = 8\ndelta_q = {step}\n")
         out = tmp_path / "x.out"
-        for args in (["encode", "-o", str(out), "--init-frames", "8", "--delta-q", "inf"],
+        for args in (["encode", "-o", str(out), "--init-frames", "8", "--delta-q", step],
                      ["encode", "-o", str(out), "--config", str(cfg)],
                      ["rd-sweep", "-o", str(out), "--init-frames", "8",
-                      "--qualities", "1,inf:1"]):
+                      "--qualities", f"1,{step}:1"]):
             assert main(args + ["-i", str(src)]) == EXIT_USAGE, args
             assert not out.exists()
+
+    def test_non_finite_quantizer_step_is_a_usage_error(self, work, tmp_path):
+        # the step travels as round(delta_q * 256); infinity has no such form
+        self._step_is_a_usage_error(work[1], tmp_path, "inf")
+
+    def test_huge_quantizer_step_is_a_usage_error(self, work, tmp_path):
+        # 1e308 * 256 overflows to infinity, so the step is bounded before it is rounded
+        self._step_is_a_usage_error(work[1], tmp_path, "1e308")
 
     def test_header_the_container_cannot_carry_fails_before_encoding(self, tmp_path,
                                                                      monkeypatch, capsys):

@@ -1,15 +1,12 @@
-"""Frame, region, rounding, and Y4M serialization basics."""
+"""Frame, region, and Y4M serialization basics."""
 
 import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fbv import core
-from fbv.core import (MIN_DIM, Frame, Region, VideoFormatError, VideoSequence,
-                      frame_from_planes, read_y4m, round_half_up, write_y4m)
+from fbv.core import MIN_DIM, Frame, Region, VideoFormatError, VideoSequence, read_y4m, write_y4m
 
 
 def _frame(h=24, w=32, fill=7, index=0):
@@ -37,7 +34,7 @@ class TestFrame:
 
     def test_from_planes(self):
         y = np.full((16, 16), 9, np.uint8)
-        f = frame_from_planes(y, y, y, frame_index=4)
+        f = Frame(np.stack([y, y, y]), 4)
         assert f.frame_index == 4
         assert np.array_equal(f.planes[2], y)
 
@@ -59,23 +56,6 @@ class TestRegion:
         assert a.overlaps(c)
         assert a.union(b) == Region(0, 0, 16, 8)
         assert a.union(c) == Region(0, 0, 12, 12)
-
-
-class TestRounding:
-    def test_half_up_on_halves(self):
-        vals = np.array([-2.5, -1.5, -0.5, 0.5, 1.5, 2.5])
-        assert round_half_up(vals).tolist() == [-2, -1, 0, 1, 2, 3]
-
-    @given(st.integers(-10**6, 10**6), st.integers(1, 999))
-    @settings(max_examples=200, deadline=None)
-    def test_half_up_matches_rational_rule(self, num, den):
-        from fractions import Fraction
-        x = num / den
-        want = (Fraction(num, den) + Fraction(1, 2)).__floor__()
-        # float division can land on either side of an exact half; only
-        # compare when the float is far enough from the tie point
-        if abs(x - (want - 0.5)) > 1e-9 and abs(x - (want + 0.5)) > 1e-9:
-            assert int(round_half_up(np.array([x]))[0]) == want
 
 
 class TestVideoSequence:

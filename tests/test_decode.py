@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from fbv.core import Frame, Region
+from fbv.core import Frame, Region, RegionSet
 from fbv.decode import BAND, composite, enhance
-from fbv.fgregion import RegionSet
 
 
 def _frame(value, h=32, w=32, index=0):

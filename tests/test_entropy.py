@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import refcoder
-from fbv.core import Region
+from fbv.core import Region, RegionSet
 from fbv.entropy import (BitBudgetReport, ContextModel, EntropyDecodeError, bin_decoder,
                          decode_bits, decode_eg0, eg0_bins, encode_bins, encode_bits)
-from fbv.fgregion import RegionSet
 from fbv.motion import SEARCH_RANGE, FlowField, decode_flow, encode_flow
 from fbv.residual import (_SIG_CTX, QualityPoint, _ceil8, decode_levels, encode_residual,
                           residual_context_model)

@@ -5,8 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fbv.core import Frame, Region
-from fbv.fgregion import RegionSet
+from fbv.core import Frame, Region, RegionSet
 from fbv.motion import (BLOCK, SEARCH_RANGE, FlowField, decode_flow,
                         encode_flow, estimate_flow, warp)
 

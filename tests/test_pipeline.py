@@ -17,10 +17,10 @@ from fbv.container import (ContainerError, FbvStream, StreamHeader, TemplateReco
                            budget_of, read_stream, write_stream)
 from fbv.core import ConfigError, FbvError, Frame, VideoSequence
 from fbv.entropy import EntropyDecodeError
-from fbv.evaluate import rd_sweep, score, sweep_csv
+from fbv.evaluate import analyze_bytes, rd_sweep, score, sweep_csv
 from fbv.metrics import ms_ssim, ms_ssim_reference
-from fbv.pipeline import (QUALITY_LADDER, EncoderConfig, analyze_bytes, decode_bytes,
-                          decode_frame, decode_stream, encode, ladder_point)
+from fbv.pipeline import (QUALITY_LADDER, EncoderConfig, decode_bytes, decode_frame,
+                          decode_stream, encode, ladder_point)
 from fbv.residual import QualityPoint
 
 from conftest import moving_square_video, smooth_texture, static_video, step_video
