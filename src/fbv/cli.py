@@ -12,15 +12,14 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import fields
 
 from .container import read_stream
 from .core import FbvError, read_y4m, write_y4m
 from .entropy import EntropyDecodeError
-from .evaluate import analyze_bytes, quality_csv, rd_sweep, score, summary_json, sweep_csv
+from .evaluate import Scorer, analyze_bytes, quality_csv, rd_sweep, summary_json, sweep_csv
 from .metrics import bpp
-from .pipeline import (QUALITY_LADDER, Decoder, EncoderConfig, decode_bytes, encode,
-                       ladder_point, output_frames)
+from .pipeline import QUALITY_LADDER, Decoder, EncoderConfig, encode, ladder_point, output_frames
 from .residual import QualityPoint
 
 EXIT_OK = 0
@@ -98,28 +97,18 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         raise ValueError("--report requires --reference")
     with open(args.input, "rb") as fh:
         data = fh.read()
-    reference = read_y4m(args.reference) if args.reference else None
     t0 = time.perf_counter()
     stream = read_stream(data)
-    q = None
-    if reference is not None:
-        result = decode_bytes(data)
-        video = (replace(result.video, frames=result.pre_enhance) if args.no_enhance
-                 else result.video)
-        # score before writing, so a reference that does not fit leaves no output
-        q = score(reference, data, video)
-        write_y4m(video, args.output, force_444=True)
-    else:
-        # each frame is written as it decodes and none is kept; the walk without
-        # feathering gives the pre-enhancement frames only
-        frames = ((pre for pre, _ in Decoder(stream).frames()) if args.no_enhance
-                  else output_frames(stream))
-        write_y4m(frames, args.output, force_444=True,
-                  fps=(stream.header.fps_num, stream.header.fps_den))
-    seconds = time.perf_counter() - t0
+    # one walk, written (and scored) a frame at a time: pre-enhancement frames with
+    # --no-enhance, else feathered; a reference that does not fit raises before writing
+    walk = Decoder(stream).frames() if args.no_enhance else output_frames(stream)
+    scorer = Scorer(read_y4m(args.reference), stream, len(data)) if args.reference else None
+    write_y4m((frame for frame, _ in walk) if scorer is None else scorer.frames(walk),
+              args.output, force_444=True, fps=(stream.header.fps_num, stream.header.fps_den))
     print(f"wrote {args.output}: {stream.header.frame_count} frames "
-          f"({seconds:.3f} s)")
-    if q is not None:
+          f"({time.perf_counter() - t0:.3f} s)")
+    if scorer is not None:
+        q = scorer.report
         print(f"psnr {q.psnr_mean:.2f} dB  ms-ssim {q.ms_ssim_mean:.6f}  "
               f"fb-mixture {q.fb_mixture:.6f}")
         print(summary_json(q))
@@ -132,8 +121,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     with open(args.input, "rb") as fh:
-        data = fh.read()
-    print(analyze_bytes(data), end="")
+        print(analyze_bytes(fh.read()), end="")
     return EXIT_OK
 
 

@@ -12,8 +12,9 @@ outside anchor value g sampled BAND+1 pixels out,
 nearly-foreground at the region edge down to the untouched surround. Pixels
 inside the mask and pixels farther than BAND are never modified, and the
 blend sources (inside pixels, anchors at distance BAND+1) are themselves
-unmodified, which makes the filter idempotent away from frame borders. The enhancer runs decoder-side only;
-prediction references the pre-enhancement reconstruction.
+unmodified, which makes the filter idempotent away from frame borders. The
+enhancer runs decoder-side only; prediction references the pre-enhancement
+reconstruction.
 """
 
 from __future__ import annotations

@@ -159,7 +159,7 @@ def _timed(stage_s: dict[str, float], stage: str):
 def encode(video: VideoSequence, config: EncoderConfig = EncoderConfig()) -> EncodeResult:
     """Compress a sequence into a container plus reports; fully deterministic.
 
-    Quality is scored by fbv.evaluate.score on decode_bytes(result.data).
+    Quality is scored by fbv.evaluate.score on output_frames(result.stream).
     """
     frames = video.frames
     n = len(frames)
@@ -372,10 +372,10 @@ def _output(pre: Frame, regions: RegionSet | None) -> Frame:
     return pre if regions is None else enhance(pre, regions)
 
 
-def output_frames(stream: FbvStream) -> Iterator[Frame]:
-    """Full decode, one output frame at a time; none is kept once yielded."""
+def output_frames(stream: FbvStream) -> Iterator[tuple[Frame, RegionSet | None]]:
+    """Full decode: each (output frame, its regions or None), none kept once yielded."""
     for pre, regions in _decoder(stream).frames():
-        yield _output(pre, regions)
+        yield _output(pre, regions), regions
 
 
 def decode_stream(stream: FbvStream) -> tuple[list[Frame], list[Frame]]:
@@ -388,7 +388,7 @@ def decode_stream(stream: FbvStream) -> tuple[list[Frame], list[Frame]]:
 
 
 def decode_bytes(data: bytes) -> DecodeResult:
-    """Decode a container; fbv.evaluate.score measures the output."""
+    """Decode a container, keeping every frame (output_frames keeps none)."""
     t0 = time.perf_counter()
     stream = read_stream(data)
     pre, out = decode_stream(stream)

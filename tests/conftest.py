@@ -1,5 +1,7 @@
 """Shared synthetic fixtures: textured stills and moving-object sequences."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -79,3 +81,21 @@ def square_clip():
 @pytest.fixture(scope="session")
 def static_clip():
     return static_video()
+
+
+def counting_read_stream(monkeypatch):
+    """Count container.read_stream calls through every fbv module that binds the name;
+    returns the list that gains one entry per call."""
+    import fbv.cli  # noqa: F401  (loads every module that calls read_stream)
+    from fbv.container import read_stream as real
+
+    calls = []
+
+    def counted(data):
+        calls.append(len(data))
+        return real(data)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "fbv" and getattr(module, "read_stream", None) is real:
+            monkeypatch.setattr(module, "read_stream", counted)
+    return calls

@@ -16,19 +16,25 @@ from fbv.core import RegionSet, read_y4m, write_y4m
 from fbv.motion import decode_flow, encode_flow
 from fbv.pipeline import decode_bytes
 
-from conftest import moving_square_video
+from conftest import counting_read_stream, moving_square_video
+
+
+def _encoded(d, n):
+    src, fbv = d / f"src{n}.y4m", d / f"clip{n}.fbv"
+    write_y4m(moving_square_video(h=48, w=48, n=n), str(src), force_444=True)
+    assert main(["encode", "-i", str(src), "-o", str(fbv), "--init-frames", "8"]) == EXIT_OK
+    return d, src, fbv
 
 
 @pytest.fixture(scope="module")
 def work(tmp_path_factory):
-    d = tmp_path_factory.mktemp("cli")
-    video = moving_square_video(h=48, w=48, n=16)
-    src = d / "src.y4m"
-    write_y4m(video, str(src), force_444=True)
-    fbv = d / "clip.fbv"
-    rc = main(["encode", "-i", str(src), "-o", str(fbv), "--init-frames", "8"])
-    assert rc == EXIT_OK
-    return d, src, fbv
+    return _encoded(tmp_path_factory.mktemp("cli"), 16)
+
+
+@pytest.fixture(scope="module")
+def work48(tmp_path_factory):
+    """A 48-frame clip: long enough that a decoded copy of it shows in a traced peak."""
+    return _encoded(tmp_path_factory.mktemp("cli48"), 48)
 
 
 class TestEncode:
@@ -136,7 +142,7 @@ class TestDecode:
         for x, y in zip(a.frames, pre):
             assert np.array_equal(x.planes, y.planes)
 
-    def test_decode_streams_frames_to_the_file(self, work, tmp_path):
+    def test_decode_streams_frames_to_the_file(self, work, work48, tmp_path):
         # without --reference each frame is written as it decodes: the output is the
         # collected decode's, and memory does not grow with the clip's length
         d, _, fbv = work
@@ -146,11 +152,8 @@ class TestDecode:
             assert main(["decode", "-i", str(fbv), "-o", str(out)] + extra) == EXIT_OK
             write_y4m(replace(decoded.video, frames=frames), str(want), force_444=True)
             assert out.read_bytes() == want.read_bytes()
-        src48, fbv48 = tmp_path / "src48.y4m", tmp_path / "clip48.fbv"
-        write_y4m(moving_square_video(h=48, w=48, n=48), str(src48), force_444=True)
-        assert main(["encode", "-i", str(src48), "-o", str(fbv48), "--init-frames", "8"]) == EXIT_OK
         peaks = []
-        for clip in (fbv, fbv48):
+        for clip in (fbv, work48[2]):
             tracemalloc.start()
             try:
                 assert main(["decode", "-i", str(clip), "-o", str(out)]) == EXIT_OK
@@ -158,6 +161,37 @@ class TestDecode:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 0.15 * peaks[0], peaks
+
+    def test_reference_decode_parses_once_and_writes_the_plain_decode(self, work, tmp_path,
+                                                                       monkeypatch):
+        # with --reference the one walk is scored as it is written
+        _, src, fbv = work
+        plain, scored = tmp_path / "plain.y4m", tmp_path / "scored.y4m"
+        calls = counting_read_stream(monkeypatch)
+        for extra in ([], ["--no-enhance"]):
+            assert main(["decode", "-i", str(fbv), "-o", str(plain)] + extra) == EXIT_OK
+            calls.clear()
+            assert main(["decode", "-i", str(fbv), "-o", str(scored),
+                         "--reference", str(src)] + extra) == EXIT_OK
+            assert len(calls) == 1
+            assert scored.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("extra", [[], ["--no-enhance"]])
+    def test_reference_decode_holds_no_decoded_clip(self, work48, tmp_path, extra):
+        # scoring keeps per-frame numbers only: beyond the plain decode, the traced peak
+        # holds the reference and one frame's scoring, never a decoded copy of the clip
+        _, src, fbv = work48
+        out = tmp_path / "out.y4m"
+        peaks = []
+        for ref in ([], ["--reference", str(src)]):
+            tracemalloc.start()
+            try:
+                assert main(["decode", "-i", str(fbv), "-o", str(out)] + extra + ref) == EXIT_OK
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        reference_bytes = 3 * 48 * 48 * 48
+        assert peaks[1] - peaks[0] < 1.5 * reference_bytes, peaks
 
     @pytest.mark.parametrize("frames,size", [(10, 48), (16, 32)])
     def test_reference_that_does_not_fit_is_a_usage_error(self, work, tmp_path,

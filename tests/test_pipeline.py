@@ -23,7 +23,8 @@ from fbv.pipeline import (QUALITY_LADDER, EncoderConfig, decode_bytes, decode_fr
                           decode_stream, encode, ladder_point)
 from fbv.residual import QualityPoint
 
-from conftest import moving_square_video, smooth_texture, static_video, step_video
+from conftest import (counting_read_stream, moving_square_video, smooth_texture,
+                      static_video, step_video)
 
 FAST = dict(init_frames=8)
 
@@ -80,7 +81,8 @@ class TestEncodeBasics:
         assert all(0.0 <= s <= 1.0 for s in sq_result.gate_trace)
 
     def test_quality_report_is_sane(self, sq_video, sq_result):
-        q = score(sq_video, sq_result.data, decode_bytes(sq_result.data).video)
+        stream = sq_result.stream
+        q = score(sq_video, stream, len(sq_result.data), pipeline.output_frames(stream))
         assert q.psnr_mean > 25.0
         assert 0.8 < q.ms_ssim_mean <= 1.0
         assert 0.0 < q.bpp < 8.0
@@ -219,13 +221,22 @@ class TestDecode:
         assert changed        # feathering must do something on this clip
 
     def test_reference_mismatch_rejected(self, sq_video, sq_result):
-        decoded = decode_bytes(sq_result.data).video
+        stream = sq_result.stream
         short = VideoSequence(sq_video.frames[:-1], 25, 1)
         small = VideoSequence(tuple(Frame(f.planes[:, :48, :48], f.frame_index)
                                     for f in sq_video.frames), 25, 1)
         for reference in (short, small):
             with pytest.raises(ConfigError, match="reference is"):
-                score(reference, sq_result.data, decoded)
+                score(reference, stream, len(sq_result.data), pipeline.output_frames(stream))
+
+    def test_a_decode_of_another_length_is_rejected(self, sq_video, sq_result):
+        # a walk one frame short or long is an error, not a report on the frames it has
+        stream = sq_result.stream
+        walk = list(pipeline.output_frames(stream))
+        for frames in (walk[:5], walk[:-1], walk + walk[-1:]):
+            with pytest.raises(ValueError) as err:
+                score(sq_video, stream, len(sq_result.data), frames)
+            assert not isinstance(err.value, ConfigError)
 
     def test_pipeline_holds_no_scorer(self):
         for name in ("psnr", "laplacian_sharpness", "fb_mixture", "rd_objective"):
@@ -580,6 +591,11 @@ class TestRdSweep:
         assert rows[0].psnr_db <= rows[1].psnr_db
         assert rows[0].delta_q == 8.0 and rows[0].levels == 1
         assert rows[1].delta_q == 1.0 and rows[1].levels == 4
+
+    def test_scores_the_encoded_stream_without_parsing_it(self, sq_video, monkeypatch):
+        calls = counting_read_stream(monkeypatch)
+        rd_sweep(sq_video, [1, 4], EncoderConfig(**FAST))
+        assert calls == []
 
     def test_needs_two_points(self, sq_video):
         with pytest.raises(ValueError, match="at least two"):
