@@ -22,9 +22,11 @@ component's rank comes from the K(K-1)/2 pairwise key comparisons, a tie
 ranking the lower index first as a stable sort would. The matched component
 is the first maximum of the key over the components that pass the gate, the
 replaced one the component of rank K-1, and the background estimate takes
-the first maximum of the key. Only that one component per pixel is gathered,
-updated and scattered back; the weight decay, the renormalisation and the
-variance floor are whole-array operations. Every float64 operation keeps its
+the first maximum of the key. A state's key is computed once (GmmState.key)
+and shared by its background estimate and the next update. Only that one
+component per pixel is gathered, updated and scattered back; the weight
+decay, the renormalisation and the variance floor are whole-array
+operations. Every float64 operation keeps its
 operands and its order, so the state, the points and the background equal,
 bit for bit, those of the whole-array update kept in tests/refmixture.py.
 """
@@ -32,6 +34,7 @@ bit for bit, those of the whole-array update kept in tests/refmixture.py.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +73,14 @@ class GmmState:
     def shape(self) -> tuple[int, int]:
         return self.weights.shape[1], self.weights.shape[2]
 
+    @cached_property
+    def key(self) -> np.ndarray:
+        """(K, H, W) ranking key weight/sigma; a larger key ranks first. It is
+        computed once per state, for the state's background estimate and the
+        update that reads the state, so neither writes to it."""
+        key = np.sqrt(self.variances)
+        return np.divide(self.weights, key, out=key)
+
 
 @dataclass(frozen=True)
 class SeparationResult:
@@ -89,12 +100,6 @@ def _seed_state(frame: Frame, params: GmmParams) -> GmmState:
     means[0] = frame.planes.astype(np.float64)
     variances = np.full((COMPONENTS, h, w), INITIAL_VARIANCE, dtype=np.float64)
     return GmmState(params, weights, means, variances, frames_seen=1)
-
-
-def _key(weights: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """The ranking key weight/sigma; a larger key ranks first."""
-    key = np.sqrt(variances)
-    return np.divide(weights, key, out=key)
 
 
 def _first_max(a: np.ndarray) -> np.ndarray:
@@ -158,11 +163,10 @@ def gmm_update(state: GmmState, frame: Frame) -> tuple[GmmState, SeparationResul
 
     # the first passing component in rank order is the first maximum of the
     # gated key; the last in rank order is replaced when none passes
-    key = _key(weights, variances)
+    key = state.key.reshape(COMPONENTS, npix)
     ranks = _ranks(key)
     worst = _first_max(ranks)
-    np.putmask(key, ~gate, -1.0)
-    matched = _first_max(key)
+    matched = _first_max(np.where(gate, key, -1.0))
 
     # background label against the pre-update ranking: the running sum of the
     # weights in rank order, less the matched weight, at the matched rank
@@ -214,8 +218,8 @@ def background_estimate(state: GmmState, frame_index: int = 0) -> Frame:
     """Current background template: top-ranked component means, rounded. The top
     component is the first maximum of weight/sigma, as a stable sort ranks it."""
     h, w = state.shape
-    key = _key(state.weights, state.variances).reshape(COMPONENTS, h * w)
-    mu = state.means.ravel()[_mean_index(_first_max(key))]      # (3, N)
+    top = _first_max(state.key.reshape(COMPONENTS, h * w))
+    mu = state.means.ravel()[_mean_index(top)]                  # (3, N)
     mu += 0.5                                   # round half up, in place
     planes = np.clip(np.floor(mu, out=mu), 0, 255, out=mu).astype(np.uint8)
     return Frame(planes.reshape(3, h, w), frame_index)

@@ -77,7 +77,9 @@ def _build_config(args: argparse.Namespace) -> EncoderConfig:
 def _cmd_encode(args: argparse.Namespace) -> int:
     config = _build_config(args)
     video = read_y4m(args.input)
+    t0 = time.perf_counter()
     result = encode(video, config)
+    total = time.perf_counter() - t0    # the rows overlap, so their sum is not it
     with open(args.output, "wb") as fh:
         fh.write(result.data)
     n = len(video.frames)
@@ -88,7 +90,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     print("timing (mean ms/frame):")
     for name, s in result.stage_s.items():
         print(f"  {name:24s} {1000.0 * s / n:9.3f}")
-    print(f"encode total {sum(result.stage_s.values()):.3f} s")
+    print(f"encode total {total:.3f} s")
     return EXIT_OK
 
 

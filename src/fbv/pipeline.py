@@ -14,6 +14,26 @@ flow plus a transformed residual against the motion-compensated previous
 segments and reset the foreground reference, so every contiguous run of
 foreground records starts from a zero reference.
 
+Encoding runs in two halves, the paper's foreground-background parallel
+compression. The background half, _background_pass, is the mixture model,
+the gate and the template chain; per frame it yields the gate score and the
+foreground points, and last the template records, images and its stage_s
+rows. The foreground half, in encode, is regions, motion and residual, then
+the container and the reconstruction. With WORKERS = 2 the background half
+runs in one forked worker that sends its items through a one-way pipe,
+while this process codes the foreground of the frames received so far.
+With WORKERS = 1, where fork is not a start method, or in a daemonic
+process (which may not start children) the same generator runs here. Both
+give the same bytes. An exception in the worker is raised here with its
+type and message, a worker that dies before its last item is an FbvError
+naming its exit code, and the worker is reaped on every exit. Forking a
+process that runs other threads is unsafe (a lock another thread holds stays
+held in the worker), so a multi-threaded caller sets WORKERS = 1. In stage_s
+the background rows (separation, gate, template coding) are the worker's
+own times and overlap this process's rows; background wait is this process's
+time blocked on the worker, fork and join included. The rows are therefore
+not exclusive: this process's rows and background wait cover the wall time.
+
 The decoder mirrors the loop exactly. Backgrounds come from linear
 interpolation between the bracketing templates, foregrounds from the same
 closed-loop warp + residual chain, composited through the region mask and
@@ -40,6 +60,7 @@ stream still replays it from its start. The stream is the same either way.
 
 from __future__ import annotations
 
+import multiprocessing
 import operator
 import time
 import weakref
@@ -55,7 +76,7 @@ from .bgtemplate import (ANCHOR_INTERVAL, DEFAULT_GAMMA, TemplateChain, decode_t
                          interpolated_background)
 from .container import (GAMMA_SCALE, ContainerError, FbvStream, ForegroundRecord,
                         StreamHeader, budget_of, read_stream, write_stream)
-from .core import ConfigError, Frame, RegionSet, VideoSequence
+from .core import ConfigError, FbvError, Frame, RegionSet, VideoSequence
 from .decode import composite, enhance
 from .entropy import BitBudgetReport
 from .fgregion import combine_regions, fp
@@ -156,6 +177,109 @@ def _timed(stage_s: dict[str, float], stage: str):
     stage_s[stage] = stage_s.get(stage, 0.0) + time.perf_counter() - t0
 
 
+def _background_pass(frames, config: EncoderConfig, gamma: float) -> Iterator:
+    """Encode's background half. Train the separator on the first init_frames
+    frames and admit its estimate as the anchor template at frame 0; then, per
+    frame, update the model, gate the candidate and admit it as a template when
+    its score is below gamma, and yield (gate score, foreground points packed
+    by np.packbits). Last, yield (template records, template images, stage_s)
+    with this half's rows: separation, gate and template coding."""
+    # the anchor is coded before frame 0's gate; seeding keeps the rows in loop order
+    stage_s = {"separation": 0.0, "gate": 0.0}
+    with _timed(stage_s, "separation"):
+        state = gmm_init(frames[:config.init_frames], config.gmm_params)
+        anchor = Frame(background_estimate(state).planes, 0)
+    chain = TemplateChain(config.anchor_interval)
+    with _timed(stage_s, "template coding"):
+        chain.admit(anchor)
+    # the gate's side of MS-SSIM is prepared once per admitted template
+    with _timed(stage_s, "gate"):
+        gate_ref = ms_ssim_reference(chain.images[-1])
+    scored: np.ndarray | None = None    # planes of the candidate gate_ref last scored
+    for t, cur in enumerate(frames):
+        with _timed(stage_s, "separation"):
+            state, sep = gmm_update(state, cur)
+        candidate = Frame(sep.background.planes, t)
+        # an unchanged candidate against an unchanged template keeps its score
+        with _timed(stage_s, "gate"):
+            if scored is None or not np.array_equal(scored, candidate.planes):
+                score = ms_ssim(gate_ref, candidate)
+                scored = candidate.planes
+        if t > 0 and score < gamma:          # the anchor already holds frame 0
+            with _timed(stage_s, "template coding"):
+                chain.admit(candidate)
+            with _timed(stage_s, "gate"):
+                gate_ref = ms_ssim_reference(chain.images[-1])
+            scored = None
+        # packed 8 to a byte, a pipe's 64 KB buffer holds 40 frames' points at
+        # 128x96, so the worker runs ahead through a foreground-heavy stretch
+        yield score, np.packbits(sep.points)
+    yield chain.records, chain.images, stage_s
+
+
+# encode's processes: the foreground coder here and, with 2, the background
+# half in one forked worker; 1 runs both halves in this process
+WORKERS = 2
+
+
+def _serve(items: Iterator, recv, send) -> None:
+    """The worker: send each item of items, or the exception that stopped them."""
+    recv.close()
+    try:
+        for item in items:
+            send.send((True, item))
+    except Exception as exc:            # raised again in the parent
+        send.send((False, exc))
+    finally:
+        send.close()
+
+
+def _received(recv, child, stage_s: dict[str, float]) -> Iterator:
+    """The worker's items, as it sends them; the time blocked on it is background wait."""
+    while True:
+        with _timed(stage_s, "background wait"):
+            try:
+                ok, item = recv.recv()
+            except EOFError:
+                child.join()
+                raise FbvError(f"the background worker exited with code {child.exitcode} "
+                               "before its last item") from None
+        if not ok:
+            raise item
+        yield item
+
+
+@contextmanager
+def _background(frames, config: EncoderConfig, gamma: float, stage_s: dict[str, float]):
+    """Yield an iterator over _background_pass's items: run in one forked worker
+    when WORKERS is 2, fork is available and this process may start children,
+    else in this process. On every exit the worker is reaped, killed first
+    unless the with block completed."""
+    items = _background_pass(frames, config, gamma)
+    if (WORKERS == 1 or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):   # a daemon starts no children
+        yield items
+        return
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_serve, args=(items, recv, send))
+    done = False
+    try:
+        with _timed(stage_s, "background wait"):
+            child.start()
+        send.close()
+        yield _received(recv, child, stage_s)
+        done = True
+    finally:
+        with _timed(stage_s, "background wait"):
+            if child.pid is not None:
+                if not done:
+                    child.kill()
+                child.join()
+        recv.close()
+        send.close()
+
+
 def encode(video: VideoSequence, config: EncoderConfig = EncoderConfig()) -> EncodeResult:
     """Compress a sequence into a container plus reports; fully deterministic.
 
@@ -175,76 +299,53 @@ def encode(video: VideoSequence, config: EncoderConfig = EncoderConfig()) -> Enc
         width=w, height=h, fps_num=video.fps_num, fps_den=video.fps_den, frame_count=n,
         levels=q.levels, delta_fp=q.delta_fp, gamma_fp=round(config.gamma * GAMMA_SCALE))
     gamma = header.gamma    # gate against the gamma the header records, not the setting
-    # the anchor is coded before frame 0's gate; seeding keeps the rows in loop order
-    stage_s = {"separation": 0.0, "gate": 0.0}
+    stage_s: dict[str, float] = {}
 
-    # pass one: train the separator, then seed the template chain at frame 0
-    with _timed(stage_s, "separation"):
-        state = gmm_init(frames[:config.init_frames], config.gmm_params)
-        anchor = Frame(background_estimate(state).planes, 0)
-    chain = TemplateChain(config.anchor_interval)
-    with _timed(stage_s, "template coding"):
-        chain.admit(anchor)
-    # the gate's side of MS-SSIM is prepared once per admitted template
-    with _timed(stage_s, "gate"):
-        gate_ref = ms_ssim_reference(chain.images[-1])
-
-    # pass two: code every frame with the trained state carried forward
+    # the foreground half, on the points the background half yields per frame
     gate_trace: list[float] = []
-    scored: np.ndarray | None = None    # planes of the candidate gate_ref last scored
     coded: list[tuple] = []             # (frame, regions, flow, residual) per fg record
     fg_recon: dict[int, tuple[RegionSet, Frame]] = {}
     prev_fg: Frame | None = None
     rs_prev = RegionSet((), h, w)
-    for t, cur in enumerate(frames):
-        with _timed(stage_s, "separation"):
-            state, sep = gmm_update(state, cur)
-        candidate = Frame(sep.background.planes, t)
-        # an unchanged candidate against an unchanged template keeps its score
-        with _timed(stage_s, "gate"):
-            if scored is None or not np.array_equal(scored, candidate.planes):
-                score = ms_ssim(gate_ref, candidate)
-                scored = candidate.planes
-        gate_trace.append(score)
-        if t > 0 and score < gamma:          # the anchor already holds frame 0
-            with _timed(stage_s, "template coding"):
-                chain.admit(candidate)
-            with _timed(stage_s, "gate"):
-                gate_ref = ms_ssim_reference(chain.images[-1])
-            scored = None
-        with _timed(stage_s, "region extraction"):
-            rs_cur = fp(cur, sep.points)
-            used = combine_regions(rs_prev, rs_cur)
-        rs_prev = rs_cur
-        if not used.regions:
-            prev_fg = None
-            continue
-        # flow + residual against the previous reconstructed foreground (closed loop)
-        with _timed(stage_s, "motion estimation"):
-            ref = prev_fg if prev_fg is not None else _zero_frame(h, w, t)
-            flow = estimate_flow(ref, cur, used)
-            flow_b = encode_flow(flow)
-        with _timed(stage_s, "motion compensation"):
-            warped = warp(ref, flow)
-        with _timed(stage_s, "residual codec"):
-            patches = [cur.planes[:, r.y:r.y2, r.x:r.x2].astype(np.int64)
-                       - warped.planes[:, r.y:r.y2, r.x:r.x2].astype(np.int64)
-                       for r in used.regions]
-            res_b, decoded = encode_residual(patches, q)
-            prev_fg = _assemble_foreground(warped, decoded, used, cur.frame_index)
-        coded.append((t, used.regions, flow_b, res_b))
-        fg_recon[t] = (used, prev_fg)
+    with _background(frames, config, gamma, stage_s) as background:
+        for t, cur in enumerate(frames):
+            score, packed = next(background)
+            gate_trace.append(score)
+            with _timed(stage_s, "region extraction"):
+                points = np.unpackbits(packed, count=h * w).reshape(h, w).view(bool)
+                rs_cur = fp(cur, points)
+                used = combine_regions(rs_prev, rs_cur)
+            rs_prev = rs_cur
+            if not used.regions:
+                prev_fg = None
+                continue
+            # flow + residual against the previous reconstructed foreground (closed loop)
+            with _timed(stage_s, "motion estimation"):
+                ref = prev_fg if prev_fg is not None else _zero_frame(h, w, t)
+                flow = estimate_flow(ref, cur, used)
+                flow_b = encode_flow(flow)
+            with _timed(stage_s, "motion compensation"):
+                warped = warp(ref, flow)
+            with _timed(stage_s, "residual codec"):
+                patches = [cur.planes[:, r.y:r.y2, r.x:r.x2].astype(np.int64)
+                           - warped.planes[:, r.y:r.y2, r.x:r.x2].astype(np.int64)
+                           for r in used.regions]
+                res_b, decoded = encode_residual(patches, q)
+                prev_fg = _assemble_foreground(warped, decoded, used, cur.frame_index)
+            coded.append((t, used.regions, flow_b, res_b))
+            fg_recon[t] = (used, prev_fg)
+        records, images, background_s = next(background)
+    stage_s = {**background_s, **stage_s}
 
     with _timed(stage_s, "container"):
-        stream = FbvStream(header, tuple(chain.records),
-                           tuple(ForegroundRecord(*c) for c in coded))
+        stream = FbvStream(header, tuple(records), tuple(ForegroundRecord(*c) for c in coded))
         data = write_stream(stream)
         budget = budget_of(stream)
 
     # encoder-side reconstructions (pre-enhancement), for the closed-loop check
     with _timed(stage_s, "reconstruction"):
-        tframes = [tr.frame_no for tr in chain.records]
-        recon = tuple(_reconstruct(tframes, chain.images.__getitem__, t, fg_recon.get(t))
+        tframes = [tr.frame_no for tr in records]
+        recon = tuple(_reconstruct(tframes, images.__getitem__, t, fg_recon.get(t))
                       for t in range(n))
     return EncodeResult(data=data, stream=stream, budget=budget, stage_s=stage_s,
                         gate_trace=tuple(gate_trace), recon=recon)

@@ -275,7 +275,8 @@ def test_criterion_12_throughput_sanity():
     wall = time.perf_counter() - t0
     assert len(dec.video.frames) == 100
     rows = [(label, 1000.0 * s / 100) for label, s in res.stage_s.items()]
-    assert [label for label, _ in rows] == [
+    # the parent's wait on the forked background worker is a row of its own
+    assert [label for label, _ in rows if label != "background wait"] == [
         "separation", "gate", "template coding", "region extraction",
         "motion estimation", "motion compensation", "residual codec",
         "container", "reconstruction"]

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import time
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -49,6 +51,17 @@ class TestEncode:
         assert "bit split: BR" in captured
         assert "timing (mean ms/frame):" in captured
         assert "separation" in captured
+
+    def test_printed_total_is_the_encode_wall_time(self, work, tmp_path, capsys):
+        # the background rows overlap the foreground ones, so the total is no sum of rows
+        _, src, _ = work
+        t0 = time.perf_counter()
+        rc = main(["encode", "-i", str(src), "-o", str(tmp_path / "x.fbv"), "--init-frames", "8"])
+        wall = time.perf_counter() - t0
+        assert rc == EXIT_OK
+        total = float(re.search(r"^encode total (\d+\.\d{3}) s$", capsys.readouterr().out,
+                                re.M).group(1))
+        assert 0.95 * wall <= total <= wall + 0.0005
 
     def test_quality_ladder_flag(self, work):
         d, src, _ = work
@@ -350,6 +363,7 @@ class TestExitCodes:
         clip.write_bytes(b"YUV4MPEG2 W32 H32 F70000:1 C420jpeg\n" + frame * 12)
         calls = []
         gmm_init = pipeline.gmm_init
+        monkeypatch.setattr(pipeline, "WORKERS", 1)     # a forked worker's calls go uncounted
         monkeypatch.setattr(pipeline, "gmm_init",
                             lambda *a, **k: calls.append(a) or gmm_init(*a, **k))
         out = tmp_path / "x.fbv"

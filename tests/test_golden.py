@@ -9,7 +9,9 @@ three shapes of stream: a moving square (foreground runs and a template
 chain), a static scene (background only), an illumination step (gated
 template updates on global brightness) and a 44x60 moving square whose
 templates and some foreground regions are not multiples of 8 (the residual
-codec's edge padding and crop).
+codec's edge padding and crop). Each stream is pinned twice: encoded with
+the background half in its forked worker (the default, `WORKERS = 2`) and
+with both halves in one process (`WORKERS = 1`).
 
 Random access is pinned too: seeking every frame of a stream in reverse
 order on one opened stream must hash to the same frames digest.
@@ -26,10 +28,12 @@ bound: nothing else may escape the decoder.
 import hashlib
 import time
 from functools import lru_cache
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
+from fbv import pipeline
 from fbv.cli import EXIT_OK, main
 from fbv.container import ContainerError, read_stream, write_stream
 from fbv.core import write_y4m
@@ -78,21 +82,29 @@ def _sha(data: bytes) -> str:
 
 
 @lru_cache(maxsize=None)
-def _stream(name: str, point: int) -> bytes:
+def _stream(name: str, point: int, workers: int = pipeline.WORKERS) -> bytes:
     q = ladder_point(point)
     cfg = EncoderConfig(delta_q=q.delta_q, levels=q.levels, init_frames=8, **CLIPS[name][1])
-    return encode(_clip(name), cfg).data
+    with patch.object(pipeline, "WORKERS", workers):
+        return encode(_clip(name), cfg).data
 
 
-def _digests(name: str, point: int) -> tuple[str, str]:
-    data = _stream(name, point)
+def _digests(name: str, point: int, workers: int = pipeline.WORKERS) -> tuple[str, str]:
+    data = _stream(name, point, workers)
     frames = decode_bytes(data).video.frames
     return _sha(data), _sha(b"".join(f.planes.tobytes() for f in frames))
 
 
 @pytest.mark.parametrize("name,point", sorted(GOLDEN))
 def test_golden_digests(name, point):
+    # the background half in its forked worker
+    assert pipeline.WORKERS == 2
     assert _digests(name, point) == GOLDEN[name, point]
+
+
+@pytest.mark.parametrize("name,point", sorted(GOLDEN))
+def test_golden_digests_in_one_process(name, point):
+    assert _digests(name, point, workers=1) == GOLDEN[name, point]
 
 
 def test_golden_table_covers_every_clip_and_ladder_point():
