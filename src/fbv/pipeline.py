@@ -19,18 +19,18 @@ compression. The background half, _background_pass, is the mixture model,
 the gate and the template chain; per frame it yields the gate score and the
 foreground points, and last the template records, images and its stage_s
 rows. The foreground half, in encode, is regions, motion and residual, then
-the container and the reconstruction. With WORKERS = 2 the background half
-runs in one forked worker that sends its items through a one-way pipe,
-while this process codes the foreground of the frames received so far.
-With WORKERS = 1, where fork is not a start method, or in a daemonic
-process (which may not start children) the same generator runs here. Both
-give the same bytes. An exception in the worker is raised here with its
-type and message, a worker that dies before its last item is an FbvError
-naming its exit code, and the worker is reaped on every exit. Forking a
-process that runs other threads is unsafe (a lock another thread holds stays
-held in the worker), so a multi-threaded caller sets WORKERS = 1. In stage_s
-the background rows (separation, gate, template coding) are the worker's
-own times and overlap this process's rows; background wait is this process's
+the container and the reconstruction. With WORKERS = 2, _forked runs the
+background half in one forked worker that sends its items through a one-way
+pipe, while this process codes the foreground of the frames received so far.
+With WORKERS = 1, where fork is not a start method, or in a daemonic process
+(which may not start children) the same generator runs here. Both give the
+same bytes. An exception in the worker is raised here with its type and
+message, a worker that dies before its last item is an FbvError naming its
+exit code, and the worker is reaped on every exit. Forking a process that
+runs other threads is unsafe (a lock another thread holds stays held in the
+worker), so a multi-threaded caller sets WORKERS = 1. In stage_s the
+background rows (separation, gate, template coding) are the worker's own
+times and overlap this process's rows; background wait is this process's
 time blocked on the worker, fork and join included. The rows are therefore
 not exclusive: this process's rows and background wait cover the wall time.
 
@@ -56,6 +56,25 @@ its frame leave checkpoints: the decoded foreground of every CHECKPOINT-th
 resumes from the nearest checkpoint before its frame, so on a warm decoder a
 seek decodes at most 8 records; the first seek into a run on a freshly read
 stream still replays it from its start. The stream is the same either way.
+
+Decoding splits the same way: the template chain is its background half. A
+walk hands the templates it will use and the decoder has not kept to one
+forked worker (_forked again, under the same conditions), which decodes them
+in chain order and sends each image while the walk decodes foreground
+records; the walk keeps every image that has arrived whenever it asks for a
+template, and waits only for the one it needs. The worker starts only when
+there are records to decode meanwhile: at the walk's beginning when it
+replays records before its first frame and that frame's templates are not
+kept (a cold seek), or when the walk resumes after its first frame with
+records ahead and later templates not kept (a full decode). So a full decode
+of a stream with one template or with no foreground, and a seek whose
+templates are kept, start none; a cold seek that replays records starts one
+even on a one-template stream, as its replay overlaps the anchor's decode. A
+template whose decode fails in the worker ends the worker's items; the walk
+decodes that template itself when it reaches it and raises the error a
+decode in one process raises there, after the same frames. A walk closed
+early (decode_frame after its frame, a closed output_frames) kills and reaps
+its worker.
 """
 
 from __future__ import annotations
@@ -66,7 +85,8 @@ import time
 import weakref
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
-from contextlib import contextmanager
+from contextlib import ExitStack, closing, contextmanager
+from functools import partial
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,17 +237,19 @@ def _background_pass(frames, config: EncoderConfig, gamma: float) -> Iterator:
     yield chain.records, chain.images, stage_s
 
 
-# encode's processes: the foreground coder here and, with 2, the background
-# half in one forked worker; 1 runs both halves in this process
+# processes per encode or decode walk: this one and, with 2, one forked worker
+# for the background half; 1 runs both halves in this process
 WORKERS = 2
 
 
 def _serve(items: Iterator, recv, send) -> None:
-    """The worker: send each item of items, or the exception that stopped them."""
+    """The worker: send each item of items, then (None, None), or the exception
+    that stopped them."""
     recv.close()
     try:
         for item in items:
             send.send((True, item))
+        send.send((None, None))
     except Exception as exc:            # raised again in the parent
         send.send((False, exc))
     finally:
@@ -244,37 +266,36 @@ def _received(recv, child, stage_s: dict[str, float]) -> Iterator:
                 child.join()
                 raise FbvError(f"the background worker exited with code {child.exitcode} "
                                "before its last item") from None
+        if ok is None:
+            return
         if not ok:
             raise item
         yield item
 
 
 @contextmanager
-def _background(frames, config: EncoderConfig, gamma: float, stage_s: dict[str, float]):
-    """Yield an iterator over _background_pass's items: run in one forked worker
-    when WORKERS is 2, fork is available and this process may start children,
-    else in this process. On every exit the worker is reaped, killed first
-    unless the with block completed."""
-    items = _background_pass(frames, config, gamma)
+def _forked(items: Iterator, stage_s: dict[str, float]):
+    """Yield (iterator over items, ready): items run in one forked worker when
+    WORKERS is 2, fork is available and this process may start children, else in
+    this process. ready() is true when the worker has sent something next() has
+    not read; it is always false in this process. On every exit the worker is
+    killed, if it still runs, and reaped."""
     if (WORKERS == 1 or "fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.current_process().daemon):   # a daemon starts no children
-        yield items
+        yield items, lambda: False
         return
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_serve, args=(items, recv, send))
-    done = False
     try:
         with _timed(stage_s, "background wait"):
             child.start()
         send.close()
-        yield _received(recv, child, stage_s)
-        done = True
+        yield _received(recv, child, stage_s), recv.poll
     finally:
         with _timed(stage_s, "background wait"):
             if child.pid is not None:
-                if not done:
-                    child.kill()
+                child.kill()
                 child.join()
         recv.close()
         send.close()
@@ -307,7 +328,7 @@ def encode(video: VideoSequence, config: EncoderConfig = EncoderConfig()) -> Enc
     fg_recon: dict[int, tuple[RegionSet, Frame]] = {}
     prev_fg: Frame | None = None
     rs_prev = RegionSet((), h, w)
-    with _background(frames, config, gamma, stage_s) as background:
+    with _forked(_background_pass(frames, config, gamma), stage_s) as (background, _):
         for t, cur in enumerate(frames):
             score, packed = next(background)
             gate_trace.append(score)
@@ -410,18 +431,58 @@ class Decoder:
         self._decoded: dict[int, Frame] = {}
         self._checkpoints: dict[int, tuple[RegionSet, Frame]] = {}   # record index -> decoded
 
-    def template(self, j: int) -> Frame:
-        """Template j's image, decoded on first use."""
-        first = j
-        while first not in self._decoded and not self.templates[first].anchor:
-            first -= 1
-        h, w = self.header.height, self.header.width
-        for i in range(first, j + 1):
-            if i not in self._decoded:
-                tr = self.templates[i]
-                prev = None if tr.anchor else self._decoded[i - 1]
-                self._decoded[i] = decode_template(prev, tr.residual, tr.frame_no, h, w)
+    def template(self, j: int, worker=None) -> Frame:
+        """Template j's image, decoded on first use. With worker, the (items, ready)
+        of a walk's _template_pass, first keep every image the worker has ready and
+        wait for j's while the worker may still send it."""
+        if worker is not None:
+            items, ready = worker
+            while j not in self._decoded or ready():
+                item = next(items, None)
+                if item is None:
+                    break
+                k, planes = item        # planes, not a Frame: a Frame checks and freezes them
+                self._decoded.setdefault(k, Frame(planes, self.templates[k].frame_no))
+        if j not in self._decoded:
+            h, w = self.header.height, self.header.width
+            for i in range(self._chain_start(j), j + 1):
+                if i not in self._decoded:
+                    tr = self.templates[i]
+                    prev = None if tr.anchor else self._decoded[i - 1]
+                    self._decoded[i] = decode_template(prev, tr.residual, tr.frame_no, h, w)
         return self._decoded[j]
+
+    def _template_pass(self, t: int) -> Iterator[tuple[int, np.ndarray]]:
+        """Decode's background half: yield (j, image planes) for each template the
+        frames from t on use that is not kept, in chain order from the anchor or
+        kept template the first one is decoded from. Stop at the first whose decode
+        raises: the walk decodes that one itself, and raises, when it reaches it."""
+        for j in range(self._chain_start(_bracket(self.tframes, t)[0]), len(self.templates)):
+            if j not in self._decoded:
+                try:
+                    planes = self.template(j).planes
+                except Exception:
+                    return
+                yield j, planes
+
+    def _chain_start(self, j: int) -> int:
+        """The template j's decode starts from: the last kept one or anchor up to j."""
+        while j not in self._decoded and not self.templates[j].anchor:
+            j -= 1
+        return j
+
+    def _missing(self, start: int, later: bool) -> bool:
+        """True when a template frame start uses, or with later one that a
+        later frame uses, is not kept."""
+        lo, hi = _bracket(self.tframes, start)
+        end = len(self.templates) if later else hi + 1
+        return not all(j in self._decoded for j in range(lo, end))
+
+    def _worker(self, start: int) -> tuple[ExitStack, tuple]:
+        """Start the worker for a walk from start: (the stack that reaps it, its
+        (items, ready))."""
+        stack = ExitStack()
+        return stack, stack.enter_context(_forked(self._template_pass(start), {}))
 
     def frames(self, start: int = 0) -> Iterator[tuple[Frame, RegionSet | None]]:
         """Yield (pre-enhancement frame, its foreground regions) for each frame from
@@ -431,6 +492,11 @@ class Decoder:
         run holding start, else at the run's first record (at start itself on a
         background-only frame), and decodes a record only when it reaches that
         record's frame, so next(frames(t)) decodes nothing beyond t.
+
+        The templates go to a worker (see _forked) when there are records to
+        decode meanwhile: at the walk's beginning when it replays records before
+        start and start's own templates are not kept, else when the walk resumes
+        after start with records ahead and templates beyond start's not kept.
         """
         start = operator.index(start)
         n = self.header.frame_count
@@ -444,17 +510,29 @@ class Decoder:
             if fg is not None:
                 break
             i, t = i - 1, t - 1
-        for t in range(t, n):
-            if i < len(fgs) and fgs[i].frame_no == t:
-                fg = _decode_record(self.header, fgs[i], None if fg is None else fg[1])
-                if t < start and i % CHECKPOINT == 0:
-                    self._checkpoints[i] = fg
-                i += 1
-            else:
-                fg = None
-            if t >= start:
-                yield (_reconstruct(self.tframes, self.template, t, fg),
-                       None if fg is None else fg[0])
+        # a stack only once a worker starts: a warm seek enters no context manager
+        stack = worker = None
+        try:
+            if t < start and self._missing(start, later=False):
+                stack, worker = self._worker(start)
+            for t in range(t, n):
+                if (t == start + 1 and worker is None and i < len(fgs)
+                        and self._missing(start, later=True)):
+                    stack, worker = self._worker(start)
+                if i < len(fgs) and fgs[i].frame_no == t:
+                    fg = _decode_record(self.header, fgs[i], None if fg is None else fg[1])
+                    if t < start and i % CHECKPOINT == 0:
+                        self._checkpoints[i] = fg
+                    i += 1
+                else:
+                    fg = None
+                if t >= start:
+                    image = (self.template if worker is None
+                             else partial(self.template, worker=worker))
+                    yield (_reconstruct(self.tframes, image, t, fg), None if fg is None else fg[0])
+        finally:
+            if stack is not None:
+                stack.close()
 
 
 _DECODERS: dict[int, Decoder] = {}      # id(stream) -> its Decoder, while the stream lives
@@ -475,16 +553,18 @@ def _output(pre: Frame, regions: RegionSet | None) -> Frame:
 
 def output_frames(stream: FbvStream) -> Iterator[tuple[Frame, RegionSet | None]]:
     """Full decode: each (output frame, its regions or None), none kept once yielded."""
-    for pre, regions in _decoder(stream).frames():
-        yield _output(pre, regions), regions
+    with closing(_decoder(stream).frames()) as walk:    # closed, the walk reaps its worker
+        for pre, regions in walk:
+            yield _output(pre, regions), regions
 
 
 def decode_stream(stream: FbvStream) -> tuple[list[Frame], list[Frame]]:
     """Full-sequence decode. Returns (pre-enhancement, output) frame lists."""
     pre, out = [], []
-    for frame, regions in _decoder(stream).frames():
-        pre.append(frame)
-        out.append(_output(frame, regions))
+    with closing(_decoder(stream).frames()) as walk:
+        for frame, regions in walk:
+            pre.append(frame)
+            out.append(_output(frame, regions))
     return pre, out
 
 
@@ -502,5 +582,9 @@ def decode_frame(stream: FbvStream, frame_no: int) -> Frame:
     """Random access: decode one frame, bit-identical to the sequential path.
     The stream's templates are decoded once, and they and the foreground
     checkpoints of earlier seeks are kept while the stream lives."""
-    return _output(*next(_decoder(stream).frames(frame_no)))
+    walk = _decoder(stream).frames(frame_no)
+    try:
+        return _output(*next(walk))
+    finally:
+        walk.close()            # the walk reaps its worker, if it started one
 

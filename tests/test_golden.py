@@ -9,23 +9,26 @@ three shapes of stream: a moving square (foreground runs and a template
 chain), a static scene (background only), an illumination step (gated
 template updates on global brightness) and a 44x60 moving square whose
 templates and some foreground regions are not multiples of 8 (the residual
-codec's edge padding and crop). Each stream is pinned twice: encoded with
-the background half in its forked worker (the default, `WORKERS = 2`) and
-with both halves in one process (`WORKERS = 1`).
+codec's edge padding and crop). Each stream is pinned twice: encoded and
+decoded with the background half in its forked worker (the default,
+`WORKERS = 2`) and with both halves in one process (`WORKERS = 1`).
 
 Random access is pinned too: seeking every frame of a stream in reverse
-order on one opened stream must hash to the same frames digest.
+order on one opened stream must hash to the same frames digest, under
+either worker count.
 
 The scores are pinned the same way, through the command line: the
 `fbv rd-sweep` CSV and the `fbv decode --report` rows of the square clip
 must match at the precision they are printed with.
 
 The same streams, damaged by a seeded mutation fuzzer, must decode or fail
-with a format error (ContainerError or EntropyDecodeError) within a time
-bound: nothing else may escape the decoder.
+with a format error (ContainerError or EntropyDecodeError) within a CPU time
+bound that counts the decode's template workers too: nothing else may escape
+the decoder.
 """
 
 import hashlib
+import os
 import time
 from functools import lru_cache
 from unittest.mock import patch
@@ -91,7 +94,8 @@ def _stream(name: str, point: int, workers: int = pipeline.WORKERS) -> bytes:
 
 def _digests(name: str, point: int, workers: int = pipeline.WORKERS) -> tuple[str, str]:
     data = _stream(name, point, workers)
-    frames = decode_bytes(data).video.frames
+    with patch.object(pipeline, "WORKERS", workers):
+        frames = decode_bytes(data).video.frames
     return _sha(data), _sha(b"".join(f.planes.tobytes() for f in frames))
 
 
@@ -183,9 +187,12 @@ def _mutate(data: bytes, rng) -> bytes:
 
 @pytest.mark.parametrize("name,point", FUZZ_STREAMS)
 def test_reverse_seeks_match_the_golden_frames(name, point):
-    stream = read_stream(_stream(name, point))
-    frames = [decode_frame(stream, t) for t in reversed(range(stream.header.frame_count))]
-    assert _sha(b"".join(f.planes.tobytes() for f in reversed(frames))) == GOLDEN[name, point][1]
+    for workers in (1, 2):
+        stream = read_stream(_stream(name, point))
+        with patch.object(pipeline, "WORKERS", workers):
+            frames = [decode_frame(stream, t) for t in reversed(range(stream.header.frame_count))]
+        assert (_sha(b"".join(f.planes.tobytes() for f in reversed(frames)))
+                == GOLDEN[name, point][1]), workers
 
 
 @pytest.mark.parametrize("name,point", FUZZ_STREAMS)
@@ -196,12 +203,15 @@ def test_mutated_streams_fail_cleanly(name, point):
     rng = np.random.default_rng(1000 + FUZZ_STREAMS.index((name, point)))
     for case in range(20):
         bad = _mutate(data, rng)
-        t0 = time.process_time()
+        # the CPU of this process and of the template workers its decode reaped
+        t0, c0 = time.process_time(), os.times()
         try:
             decode_bytes(bad)
         except (ContainerError, EntropyDecodeError):
             pass
-        assert time.process_time() - t0 < 2.0, f"case {case} took too long"
+        c1 = os.times()
+        children = c1.children_user + c1.children_system - c0.children_user - c0.children_system
+        assert time.process_time() - t0 + children < 2.0, f"case {case} took too long"
         try:
             stream = read_stream(bad)
         except ContainerError:

@@ -1,16 +1,22 @@
-"""Encode's background half in one forked worker: the same encode as in one
-process, the worker's errors raised here, and no worker left behind."""
+"""The background half in one forked worker, for encode and for decode: the
+same bytes and frames as in one process, the worker's errors raised here as
+they would be there, and no worker left behind."""
 
+import dataclasses
 import multiprocessing
 import os
 import time
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from fbv import pipeline
+from fbv.container import FbvStream, read_stream, write_stream
 from fbv.core import FbvError
-from fbv.pipeline import EncoderConfig, encode
+from fbv.entropy import EntropyDecodeError
+from fbv.pipeline import (Decoder, EncoderConfig, decode_bytes, decode_frame, decode_stream,
+                          encode, output_frames)
 
 from conftest import moving_square_video, static_video, step_video
 
@@ -116,3 +122,124 @@ def test_a_daemonic_process_encodes_in_itself():
         child.join(60)
     assert child.exitcode == 0
     assert data == encode(video, config).data
+
+
+@lru_cache(maxsize=None)
+def _stream(name: str) -> bytes:
+    make, config = CASES[name]
+    return encode(make(), config).data
+
+
+@pytest.fixture
+def starts(monkeypatch):
+    """The list that gains one entry per worker started, once the streams are encoded."""
+    for name in CASES:
+        _stream(name)
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        lambda self: started.append(self) or start(self))
+    return started
+
+
+def _same(a, b) -> bool:
+    return len(a) == len(b) and all(
+        x.frame_index == y.frame_index and np.array_equal(x.planes, y.planes)
+        for x, y in zip(a, b))
+
+
+def test_one_and_two_workers_decode_the_same(monkeypatch, starts):
+    data = _stream("templates")
+    two = decode_bytes(data)
+    assert len(starts) == 1                 # the template chain decoded beside the walk
+    monkeypatch.setattr(pipeline, "WORKERS", 1)
+    one = decode_bytes(data)
+    assert len(starts) == 1
+    assert _same(two.pre_enhance, one.pre_enhance)
+    assert _same(two.video.frames, one.video.frames)
+
+
+def test_reverse_seeks_match_under_both(monkeypatch, starts):
+    data = _stream("templates")
+    _, want = decode_stream(read_stream(data))
+    for workers in (2, 1):
+        monkeypatch.setattr(pipeline, "WORKERS", workers)
+        stream = read_stream(data)
+        got = [decode_frame(stream, t) for t in reversed(range(stream.header.frame_count))]
+        assert _same(got[::-1], want), workers
+    assert starts                           # a cold seek replays its run beside the chain
+
+
+def _late_template_flipped(data: bytes) -> bytes:
+    """The stream with a byte of its last template's payload flipped, so that
+    template's decode raises."""
+    stream = read_stream(data)
+    last = stream.templates[-1]
+    payload = bytearray(last.residual)
+    payload[1] ^= 0xFF
+    templates = stream.templates[:-1] + (dataclasses.replace(last, residual=bytes(payload)),)
+    return write_stream(FbvStream(stream.header, templates, stream.foregrounds))
+
+
+def test_a_late_template_error_is_raised_where_one_process_raises_it(monkeypatch, starts):
+    bad = read_stream(_late_template_flipped(_stream("templates")))
+    outcomes = []
+    for workers in (2, 1):
+        monkeypatch.setattr(pipeline, "WORKERS", workers)
+        walked = []
+        with pytest.raises(EntropyDecodeError) as err:
+            for frame, _ in Decoder(bad).frames():
+                walked.append(frame)
+        outcomes.append((type(err.value), str(err.value), walked))
+        assert _no_child_left()
+    (cls2, msg2, walked2), (cls1, msg1, walked1) = outcomes
+    assert (cls2, msg2) == (cls1, msg1)
+    assert 0 < len(walked1) < bad.header.frame_count
+    assert _same(walked2, walked1)
+    assert len(starts) == 1
+
+
+def test_an_abandoned_walk_kills_and_reaps_its_worker(monkeypatch, starts):
+    data = _stream("templates")
+    stream = read_stream(data)
+    assert [r.frame_no for r in stream.foregrounds[:3]] == [12, 13, 14]
+    last = stream.templates[-1].frame_no
+    assert last > 14
+    decode_template = pipeline.decode_template
+
+    def slow(prev, payload, frame_index, height, width):
+        if frame_index == last:         # keeps the worker busy past what the walk needs
+            time.sleep(30)
+        return decode_template(prev, payload, frame_index, height, width)
+
+    monkeypatch.setattr(pipeline, "decode_template", slow)
+    t0 = time.perf_counter()
+    decode_frame(stream, 14)            # a cold seek that replays frames 12 and 13
+    assert len(starts) == 1 and _no_child_left()
+    walk = output_frames(read_stream(data))
+    for _ in range(3):                  # past the first frame, the chain goes to the worker
+        next(walk)
+    assert len(starts) == 2
+    walk.close()
+    assert _no_child_left()
+    assert time.perf_counter() - t0 < 10.0
+
+
+def test_no_worker_without_work_to_overlap(starts):
+    # one template, the first frame's: a foreground record on every frame
+    moving = read_stream(_stream("moving"))
+    decode_bytes(write_stream(FbvStream(moving.header, moving.templates[:1],
+                                        moving.foregrounds)))
+    # several templates but no foreground record to decode beside them
+    stream = read_stream(_stream("templates"))
+    assert len(stream.templates) >= 3
+    decode_bytes(write_stream(FbvStream(stream.header, stream.templates, ())))
+    decode_bytes(_stream("static"))
+    # a warm decoder: every template kept by an earlier walk
+    stream = read_stream(_stream("templates"))
+    decode_stream(stream)
+    assert len(starts) == 1
+    decode_stream(stream)
+    for t in reversed(range(stream.header.frame_count)):
+        decode_frame(stream, t)
+    assert len(starts) == 1
