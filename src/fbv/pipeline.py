@@ -19,17 +19,17 @@ compression. The background half, _background_pass, is the mixture model,
 the gate and the template chain; per frame it yields the gate score and the
 foreground points, and last the template records, images and its stage_s
 rows. The foreground half, in encode, is regions, motion and residual, then
-the container and the reconstruction. With WORKERS = 2, _forked runs the
-background half in one forked worker that sends its items through a one-way
-pipe, while this process codes the foreground of the frames received so far.
-With WORKERS = 1, where fork is not a start method, or in a daemonic process
-(which may not start children) the same generator runs here. Both give the
-same bytes. An exception in the worker is raised here with its type and
+the container and the reconstruction. _forked runs the background half in
+one forked worker that sends its items through a one-way pipe, while this
+process codes the foreground of the frames received so far. The same
+generator runs here instead where fork is not a start method, in a daemonic
+process (which may not start children), while another thread runs (a lock
+it holds would stay held in the worker) and when the fork fails. Both give
+the same bytes. An exception in the worker is raised here with its type and
 message, a worker that dies before its last item is an FbvError naming its
-exit code, and the worker is reaped on every exit. Forking a process that
-runs other threads is unsafe (a lock another thread holds stays held in the
-worker), so a multi-threaded caller sets WORKERS = 1. In stage_s the
-background rows (separation, gate, template coding) are the worker's own
+exit code, and the worker is reaped on every exit. The worker ignores
+SIGINT: a Ctrl-C interrupts this process, which kills the worker. In stage_s
+the background rows (separation, gate, template coding) are the worker's own
 times and overlap this process's rows; background wait is this process's
 time blocked on the worker, fork and join included. The rows are therefore
 not exclusive: this process's rows and background wait cover the wall time.
@@ -69,18 +69,22 @@ kept (a cold seek), or when the walk resumes after its first frame with
 records ahead and later templates not kept (a full decode). So a full decode
 of a stream with one template or with no foreground, and a seek whose
 templates are kept, start none; a cold seek that replays records starts one
-even on a one-template stream, as its replay overlaps the anchor's decode. A
-template whose decode fails in the worker ends the worker's items; the walk
-decodes that template itself when it reaches it and raises the error a
-decode in one process raises there, after the same frames. A walk closed
-early (decode_frame after its frame, a closed output_frames) kills and reaps
-its worker.
+even on a one-template stream, as its replay overlaps the anchor's decode.
+The walk stops reading the worker at its first failure, an exception the
+worker raised or its death, and decodes what the worker did not send
+itself: a template that failed in the worker raises, when the walk reaches
+it, the error a decode in one process raises there, after the same frames,
+and a worker that dies costs time, not the decode. A walk closed early
+(decode_frame after its frame, a closed output_frames) kills and reaps its
+worker.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import operator
+import signal
+import threading
 import time
 import weakref
 from bisect import bisect_left, bisect_right
@@ -237,14 +241,10 @@ def _background_pass(frames, config: EncoderConfig, gamma: float) -> Iterator:
     yield chain.records, chain.images, stage_s
 
 
-# processes per encode or decode walk: this one and, with 2, one forked worker
-# for the background half; 1 runs both halves in this process
-WORKERS = 2
-
-
 def _serve(items: Iterator, recv, send) -> None:
     """The worker: send each item of items, then (None, None), or the exception
-    that stopped them."""
+    that stopped them. It ignores SIGINT, as the caller kills it on every exit."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     recv.close()
     try:
         for item in items:
@@ -275,13 +275,15 @@ def _received(recv, child, stage_s: dict[str, float]) -> Iterator:
 
 @contextmanager
 def _forked(items: Iterator, stage_s: dict[str, float]):
-    """Yield (iterator over items, ready): items run in one forked worker when
-    WORKERS is 2, fork is available and this process may start children, else in
-    this process. ready() is true when the worker has sent something next() has
-    not read; it is always false in this process. On every exit the worker is
-    killed, if it still runs, and reaped."""
-    if (WORKERS == 1 or "fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):   # a daemon starts no children
+    """Yield (iterator over items, ready): items run in one forked worker, or in
+    this process where fork is not a start method, in a daemonic process (a
+    daemon starts no children), while another thread runs (a lock it holds
+    would stay held in the worker) or when the fork fails. ready() is true when
+    the worker has sent something next() has not read; it is always false in
+    this process. On every exit the worker is killed, if it still runs, and
+    reaped."""
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon or threading.active_count() > 1):
         yield items, lambda: False
         return
     ctx = multiprocessing.get_context("fork")
@@ -289,9 +291,13 @@ def _forked(items: Iterator, stage_s: dict[str, float]):
     child = ctx.Process(target=_serve, args=(items, recv, send))
     try:
         with _timed(stage_s, "background wait"):
-            child.start()
+            try:
+                child.start()
+            except OSError:             # no process to be had: the items run here
+                recv.close()
         send.close()
-        yield _received(recv, child, stage_s), recv.poll
+        yield ((items, lambda: False) if child.pid is None
+               else (_received(recv, child, stage_s), recv.poll))
     finally:
         with _timed(stage_s, "background wait"):
             if child.pid is not None:
@@ -434,14 +440,16 @@ class Decoder:
     def template(self, j: int, worker=None) -> Frame:
         """Template j's image, decoded on first use. With worker, the (items, ready)
         of a walk's _template_pass, first keep every image the worker has ready and
-        wait for j's while the worker may still send it."""
+        wait for j's while the worker may still send it. The items end at the
+        worker's first failure, an exception it raised or its death: what it did
+        not send is decoded here, so a template that failed there raises here."""
         if worker is not None:
             items, ready = worker
             while j not in self._decoded or ready():
-                item = next(items, None)
-                if item is None:
+                try:
+                    k, planes = next(items)  # planes, not a Frame: a Frame checks and freezes them
+                except Exception:               # the worker is done, failed or dead
                     break
-                k, planes = item        # planes, not a Frame: a Frame checks and freezes them
                 self._decoded.setdefault(k, Frame(planes, self.templates[k].frame_no))
         if j not in self._decoded:
             h, w = self.header.height, self.header.width
@@ -455,15 +463,10 @@ class Decoder:
     def _template_pass(self, t: int) -> Iterator[tuple[int, np.ndarray]]:
         """Decode's background half: yield (j, image planes) for each template the
         frames from t on use that is not kept, in chain order from the anchor or
-        kept template the first one is decoded from. Stop at the first whose decode
-        raises: the walk decodes that one itself, and raises, when it reaches it."""
+        kept template the first one is decoded from."""
         for j in range(self._chain_start(_bracket(self.tframes, t)[0]), len(self.templates)):
             if j not in self._decoded:
-                try:
-                    planes = self.template(j).planes
-                except Exception:
-                    return
-                yield j, planes
+                yield j, self.template(j).planes
 
     def _chain_start(self, j: int) -> int:
         """The template j's decode starts from: the last kept one or anchor up to j."""
@@ -558,21 +561,15 @@ def output_frames(stream: FbvStream) -> Iterator[tuple[Frame, RegionSet | None]]
             yield _output(pre, regions), regions
 
 
-def decode_stream(stream: FbvStream) -> tuple[list[Frame], list[Frame]]:
-    """Full-sequence decode. Returns (pre-enhancement, output) frame lists."""
+def decode_bytes(data: bytes) -> DecodeResult:
+    """Decode a container, keeping every frame (output_frames keeps none)."""
+    t0 = time.perf_counter()
+    stream = read_stream(data)
     pre, out = [], []
     with closing(_decoder(stream).frames()) as walk:
         for frame, regions in walk:
             pre.append(frame)
             out.append(_output(frame, regions))
-    return pre, out
-
-
-def decode_bytes(data: bytes) -> DecodeResult:
-    """Decode a container, keeping every frame (output_frames keeps none)."""
-    t0 = time.perf_counter()
-    stream = read_stream(data)
-    pre, out = decode_stream(stream)
     total = time.perf_counter() - t0
     video = VideoSequence(tuple(out), stream.header.fps_num, stream.header.fps_den)
     return DecodeResult(video=video, pre_enhance=tuple(pre), decode_total_s=total)

@@ -1,6 +1,8 @@
 """Shared synthetic fixtures: textured stills and moving-object sequences."""
 
 import sys
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -99,3 +101,25 @@ def counting_read_stream(monkeypatch):
         if name.split(".")[0] == "fbv" and getattr(module, "read_stream", None) is real:
             monkeypatch.setattr(module, "read_stream", counted)
     return calls
+
+
+@contextmanager
+def one_process():
+    """Run the block with a second thread parked, so that every encode and decode
+    walk in it runs both halves in this process: fbv.pipeline forks no worker
+    while another thread runs."""
+    release = threading.Event()
+    parked = threading.Thread(target=release.wait, name="parked")
+    parked.start()
+    try:
+        yield
+    finally:
+        release.set()
+        parked.join()
+
+
+@pytest.fixture
+def in_one_process():
+    """The whole test under one_process()."""
+    with one_process():
+        yield

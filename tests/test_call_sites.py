@@ -22,6 +22,7 @@ DEAD_SITES = {
     ("fbv.pipeline", "predict"),
     ("fbv.pipeline", "lookup"),
     ("fbv.pipeline", "build_segments"),
+    ("fbv.pipeline", "decode_stream"),
 }
 
 

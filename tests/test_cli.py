@@ -356,14 +356,14 @@ class TestExitCodes:
         self._step_is_a_usage_error(work[1], tmp_path, "1e308")
 
     def test_header_the_container_cannot_carry_fails_before_encoding(self, tmp_path,
-                                                                     monkeypatch, capsys):
+                                                                     monkeypatch, capsys,
+                                                                     in_one_process):
         # a well-formed clip whose frame rate does not fit the header's u16 field
         frame = b"FRAME\n" + bytes(i % 256 for i in range(32 * 32 * 3 // 2))
         clip = tmp_path / "clip.y4m"
         clip.write_bytes(b"YUV4MPEG2 W32 H32 F70000:1 C420jpeg\n" + frame * 12)
-        calls = []
+        calls = []                  # in one process: a forked worker's calls go uncounted
         gmm_init = pipeline.gmm_init
-        monkeypatch.setattr(pipeline, "WORKERS", 1)     # a forked worker's calls go uncounted
         monkeypatch.setattr(pipeline, "gmm_init",
                             lambda *a, **k: calls.append(a) or gmm_init(*a, **k))
         out = tmp_path / "x.fbv"

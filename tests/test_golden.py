@@ -10,12 +10,13 @@ chain), a static scene (background only), an illumination step (gated
 template updates on global brightness) and a 44x60 moving square whose
 templates and some foreground regions are not multiples of 8 (the residual
 codec's edge padding and crop). Each stream is pinned twice: encoded and
-decoded with the background half in its forked worker (the default,
-`WORKERS = 2`) and with both halves in one process (`WORKERS = 1`).
+decoded with the background half in its forked worker (the default in a
+process that runs one thread) and with both halves in one process (with a
+second thread parked).
 
 Random access is pinned too: seeking every frame of a stream in reverse
-order on one opened stream must hash to the same frames digest, under
-either worker count.
+order on one opened stream must hash to the same frames digest, in one
+process or two.
 
 The scores are pinned the same way, through the command line: the
 `fbv rd-sweep` CSV and the `fbv decode --report` rows of the square clip
@@ -29,21 +30,21 @@ the decoder.
 
 import hashlib
 import os
+import threading
 import time
+from contextlib import nullcontext
 from functools import lru_cache
-from unittest.mock import patch
 
 import numpy as np
 import pytest
 
-from fbv import pipeline
 from fbv.cli import EXIT_OK, main
 from fbv.container import ContainerError, read_stream, write_stream
 from fbv.core import write_y4m
 from fbv.entropy import EntropyDecodeError
 from fbv.pipeline import EncoderConfig, decode_bytes, decode_frame, encode, ladder_point
 
-from conftest import moving_square_video, static_video, step_video
+from conftest import moving_square_video, one_process, static_video, step_video
 
 # name: (clip builder, encoder overrides)
 CLIPS = {
@@ -85,30 +86,30 @@ def _sha(data: bytes) -> str:
 
 
 @lru_cache(maxsize=None)
-def _stream(name: str, point: int, workers: int = pipeline.WORKERS) -> bytes:
+def _stream(name: str, point: int, one: bool = False) -> bytes:
     q = ladder_point(point)
     cfg = EncoderConfig(delta_q=q.delta_q, levels=q.levels, init_frames=8, **CLIPS[name][1])
-    with patch.object(pipeline, "WORKERS", workers):
+    with one_process() if one else nullcontext():
         return encode(_clip(name), cfg).data
 
 
-def _digests(name: str, point: int, workers: int = pipeline.WORKERS) -> tuple[str, str]:
-    data = _stream(name, point, workers)
-    with patch.object(pipeline, "WORKERS", workers):
+def _digests(name: str, point: int, one: bool = False) -> tuple[str, str]:
+    data = _stream(name, point, one)
+    with one_process() if one else nullcontext():
         frames = decode_bytes(data).video.frames
     return _sha(data), _sha(b"".join(f.planes.tobytes() for f in frames))
 
 
 @pytest.mark.parametrize("name,point", sorted(GOLDEN))
 def test_golden_digests(name, point):
-    # the background half in its forked worker
-    assert pipeline.WORKERS == 2
+    # the background half in its forked worker: no other thread runs
+    assert threading.active_count() == 1
     assert _digests(name, point) == GOLDEN[name, point]
 
 
 @pytest.mark.parametrize("name,point", sorted(GOLDEN))
 def test_golden_digests_in_one_process(name, point):
-    assert _digests(name, point, workers=1) == GOLDEN[name, point]
+    assert _digests(name, point, one=True) == GOLDEN[name, point]
 
 
 def test_golden_table_covers_every_clip_and_ladder_point():
@@ -187,12 +188,12 @@ def _mutate(data: bytes, rng) -> bytes:
 
 @pytest.mark.parametrize("name,point", FUZZ_STREAMS)
 def test_reverse_seeks_match_the_golden_frames(name, point):
-    for workers in (1, 2):
+    for one in (True, False):
         stream = read_stream(_stream(name, point))
-        with patch.object(pipeline, "WORKERS", workers):
+        with one_process() if one else nullcontext():
             frames = [decode_frame(stream, t) for t in reversed(range(stream.header.frame_count))]
         assert (_sha(b"".join(f.planes.tobytes() for f in reversed(frames)))
-                == GOLDEN[name, point][1]), workers
+                == GOLDEN[name, point][1]), one
 
 
 @pytest.mark.parametrize("name,point", FUZZ_STREAMS)

@@ -6,6 +6,7 @@ import time
 import tracemalloc
 import weakref
 from bisect import bisect_left
+from contextlib import nullcontext
 from dataclasses import fields, replace
 
 import numpy as np
@@ -19,11 +20,11 @@ from fbv.core import ConfigError, FbvError, Frame, VideoSequence
 from fbv.entropy import EntropyDecodeError
 from fbv.evaluate import analyze_bytes, rd_sweep, score, sweep_csv
 from fbv.metrics import ms_ssim, ms_ssim_reference
-from fbv.pipeline import (QUALITY_LADDER, EncoderConfig, decode_bytes, decode_frame,
-                          decode_stream, encode, ladder_point)
+from fbv.pipeline import (QUALITY_LADDER, EncoderConfig, decode_bytes, decode_frame, encode,
+                          ladder_point)
 from fbv.residual import QualityPoint
 
-from conftest import (counting_read_stream, moving_square_video, smooth_texture,
+from conftest import (counting_read_stream, moving_square_video, one_process, smooth_texture,
                       static_video, step_video)
 
 FAST = dict(init_frames=8)
@@ -47,10 +48,9 @@ def step_result():
 
 def _counting(monkeypatch, name: str, arg: int):
     """Patch fbv.pipeline.<name>; returns the list of each call's positional argument arg.
-    Encode runs in this process, as a forked worker's calls would go uncounted."""
+    The test runs in_one_process, as a forked worker's calls would go uncounted."""
     calls = []
     original = getattr(pipeline, name)
-    monkeypatch.setattr(pipeline, "WORKERS", 1)
 
     def counted(*args, **kwargs):
         calls.append(args[arg])
@@ -125,10 +125,10 @@ def static_result(static_clip):
 
 
 def _candidates(monkeypatch):
-    """The background estimate planes encode's pass two gates, one per frame."""
+    """The background estimate planes encode's pass two gates, one per frame; the
+    test runs in_one_process, as a forked worker's would go unrecorded."""
     planes = []
     original = pipeline.gmm_update
-    monkeypatch.setattr(pipeline, "WORKERS", 1)     # record them in this process
 
     def recorded(state, frame):
         state, sep = original(state, frame)
@@ -140,7 +140,8 @@ def _candidates(monkeypatch):
 
 
 class TestEncodeOnlyEncodes:
-    def test_one_gate_evaluation_per_changed_candidate_or_template(self, monkeypatch):
+    def test_one_gate_evaluation_per_changed_candidate_or_template(self, monkeypatch,
+                                                                   in_one_process):
         video = step_video()
         candidates = _candidates(monkeypatch)
         scored = _counting(monkeypatch, "ms_ssim", 1)
@@ -155,7 +156,8 @@ class TestEncodeOnlyEncodes:
         assert [c.frame_index for c in scored] == want
         assert len(want) < len(video.frames)
 
-    def test_gate_trace_is_the_score_against_the_template_in_force(self, monkeypatch):
+    def test_gate_trace_is_the_score_against_the_template_in_force(self, monkeypatch,
+                                                                   in_one_process):
         video = step_video()
         candidates = _candidates(monkeypatch)
         result = encode(video, EncoderConfig(learning_rate=0.2, **FAST))
@@ -168,7 +170,7 @@ class TestEncodeOnlyEncodes:
             want = ms_ssim(ms_ssim_reference(dec.template(j)), Frame(planes, t))
             assert result.gate_trace[t] == want, t
 
-    def test_one_gate_reference_per_admitted_template(self, monkeypatch):
+    def test_one_gate_reference_per_admitted_template(self, monkeypatch, in_one_process):
         built = _counting(monkeypatch, "ms_ssim_reference", 0)
         result = encode(step_video(), EncoderConfig(learning_rate=0.2, **FAST))
         assert len(result.stream.templates) >= 3      # the anchor plus two
@@ -187,7 +189,8 @@ class TestEncodeOnlyEncodes:
 
 class TestStaticScene:
     def test_one_gate_evaluation_for_the_unchanging_candidate(self, static_clip,
-                                                               static_result, monkeypatch):
+                                                               static_result, monkeypatch,
+                                                               in_one_process):
         scored = _counting(monkeypatch, "ms_ssim", 1)
         assert encode(static_clip, EncoderConfig(**FAST)).data == static_result.data
         assert len(scored) == 1
@@ -254,7 +257,7 @@ class TestDecode:
 class TestRandomAccess:
     def test_matches_sequential_everywhere(self, sq_result):
         stream = read_stream(sq_result.data)
-        _, seq = decode_stream(stream)
+        seq = [frame for frame, _ in pipeline.output_frames(stream)]
         for t in range(0, stream.header.frame_count, 5):
             got = decode_frame(stream, t)
             assert np.array_equal(got.planes, seq[t].planes), t
@@ -270,12 +273,12 @@ class TestRandomAccess:
         templates = step_result.stream.templates
         assert [t.anchor for t in templates] == [True, False, True]
         stream = read_stream(step_result.data)
-        _, seq = decode_stream(stream)
+        seq = [frame for frame, _ in pipeline.output_frames(stream)]
         for t in range(stream.header.frame_count):
             got = decode_frame(stream, t)
             assert np.array_equal(got.planes, seq[t].planes), t
 
-    def test_template_decodes_per_seek(self, step_result, monkeypatch):
+    def test_template_decodes_per_seek(self, step_result, monkeypatch, in_one_process):
         stream = read_stream(step_result.data)
         t0, t1, t2 = (t.frame_no for t in stream.templates)
         calls = _counting_template_decodes(monkeypatch)
@@ -307,7 +310,8 @@ class TestOneWalk:
         assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
 
     @pytest.mark.parametrize("t,records", [(14, 3), (24, 1), (20, 0)])
-    def test_seek_decodes_its_run_up_to_the_frame(self, step_result, monkeypatch, t, records):
+    def test_seek_decodes_its_run_up_to_the_frame(self, step_result, monkeypatch, in_one_process,
+                                                  t, records):
         assert [f.frame_no for f in step_result.stream.foregrounds] == [12, 13, 14, 15, 24, 25, 26]
         stream = read_stream(step_result.data)
         calls = _counting(monkeypatch, "decode_residual", 0)
@@ -315,7 +319,8 @@ class TestOneWalk:
         assert len(calls) == records
 
     def test_walk_from_a_frame_matches_sequential(self, step_result):
-        pre, out = decode_stream(read_stream(step_result.data))
+        dec = decode_bytes(step_result.data)
+        pre, out = dec.pre_enhance, dec.video.frames
         got = list(pipeline.Decoder(read_stream(step_result.data)).frames(14))
         assert len(got) == len(out) - 14
         fg_frames = {f.frame_no for f in step_result.stream.foregrounds}
@@ -349,7 +354,7 @@ class TestCheckpoints:
     def test_any_seek_order_on_one_stream_matches_sequential(self, sq_result, step_result,
                                                             which):
         data = {"square": sq_result, "step": step_result}[which].data
-        _, seq = decode_stream(read_stream(data))
+        seq = decode_bytes(data).video.frames
         n = len(seq)
         stream = read_stream(data)
         orders = [np.random.default_rng(5).permutation(n).tolist(), _stratified(n, 6, 7),
@@ -358,12 +363,12 @@ class TestCheckpoints:
             for t in order:
                 assert np.array_equal(decode_frame(stream, t).planes, seq[t].planes), t
 
-    def test_warm_seek_decodes_at_most_k_records(self, sq_result, monkeypatch):
+    def test_warm_seek_decodes_at_most_k_records(self, sq_result, monkeypatch, in_one_process):
         stream = read_stream(sq_result.data)
         records = len(stream.foregrounds)
         n = stream.header.frame_count
         assert [f.frame_no for f in stream.foregrounds] == list(range(n))   # one run
-        decode_stream(stream)
+        list(pipeline.output_frames(stream))
         kept = pipeline._decoder(stream)._checkpoints
         assert kept == {}                   # a walk from frame 0 replays nothing
         for t in np.random.default_rng(2).permutation(n).tolist():         # warm-up
@@ -378,7 +383,7 @@ class TestCheckpoints:
         assert max(per_seek) == pipeline.CHECKPOINT
         assert len(kept) <= -(-records // pipeline.CHECKPOINT)
 
-    def test_failed_record_keeps_no_checkpoint(self, sq_result, monkeypatch):
+    def test_failed_record_keeps_no_checkpoint(self, sq_result, monkeypatch, in_one_process):
         """The square stream with the residual of its record at checkpoint index 2K
         damaged: seeks through it raise alike, keep no checkpoint for it and resume
         below it."""
@@ -407,7 +412,7 @@ class TestCheckpoints:
 class TestTemplateCache:
     """decode_frame decodes each template once per open stream and keeps it."""
 
-    def test_warm_bracket_decodes_nothing(self, step_result, monkeypatch):
+    def test_warm_bracket_decodes_nothing(self, step_result, monkeypatch, in_one_process):
         stream = read_stream(step_result.data)
         _, t1, t2 = (t.frame_no for t in stream.templates)
         decode_frame(stream, (t1 + t2) // 2)
@@ -419,7 +424,7 @@ class TestTemplateCache:
     def test_any_seek_order_matches_sequential(self, step_result):
         n = step_result.stream.header.frame_count
         shuffled = np.random.default_rng(11).permutation(n).tolist()
-        _, seq = decode_stream(read_stream(step_result.data))
+        seq = decode_bytes(step_result.data).video.frames
         for order in (range(n - 1, -1, -1), shuffled):
             stream = read_stream(step_result.data)
             for t in order:
@@ -436,7 +441,7 @@ class TestTemplateCache:
         assert ref() is None
         assert key not in pipeline._DECODERS
 
-    def test_failed_template_is_not_kept(self, step_result, monkeypatch):
+    def test_failed_template_is_not_kept(self, step_result, monkeypatch, in_one_process):
         good = read_stream(step_result.data)
         first, second, third = good.templates
         assert second.residual and third.anchor
@@ -452,7 +457,8 @@ class TestTemplateCache:
         for t in (first.frame_no, third.frame_no, good.header.frame_count - 1):
             assert np.array_equal(decode_frame(stream, t).planes, decode_frame(good, t).planes)
 
-    def test_seeks_decode_each_template_at_most_once(self, step_result, monkeypatch):
+    def test_seeks_decode_each_template_at_most_once(self, step_result, monkeypatch,
+                                                     in_one_process):
         stream = read_stream(step_result.data)
         assert len(stream.templates) > 2
         n = stream.header.frame_count
@@ -490,7 +496,7 @@ class TestBracket:
     }
 
     @pytest.mark.parametrize("case", list(TABLE))
-    def test_bracket_and_chain(self, case, monkeypatch):
+    def test_bracket_and_chain(self, case, monkeypatch, in_one_process):
         t, want_bracket, want_chain = self.TABLE[case]
         stream, images = _bracket_stream()
         tframes = [tr.frame_no for tr in stream.templates]
@@ -549,18 +555,18 @@ BACKGROUND_STAGES = STAGES[:3]
 
 
 class TestTiming:
-    def test_report_rows_and_totals(self, sq_video, monkeypatch):
+    def test_report_rows_and_totals(self, sq_video):
         static = static_video(n=12)
-        for workers in (1, 2):
-            monkeypatch.setattr(pipeline, "WORKERS", workers)
+        for one in (True, False):
             for video, want in ((sq_video, STAGES),
                                 (static, [s for s in STAGES if s not in FOREGROUND_STAGES])):
                 config = EncoderConfig(**FAST)
-                t0 = time.perf_counter()
-                res = encode(video, config)
-                wall = time.perf_counter() - t0
+                with one_process() if one else nullcontext():
+                    t0 = time.perf_counter()
+                    res = encode(video, config)
+                    wall = time.perf_counter() - t0
                 assert all(s >= 0.0 for s in res.stage_s.values())
-                if workers == 1:
+                if one:
                     assert list(res.stage_s) == want
                     # the stages are exclusive and cover encode's wall time
                     covered = sum(res.stage_s.values())
@@ -570,7 +576,7 @@ class TestTiming:
                     assert list(res.stage_s) == want[:3] + ["background wait"] + want[3:]
                     covered = sum(s for stage, s in res.stage_s.items()
                                   if stage not in BACKGROUND_STAGES)
-                assert abs(covered - wall) <= 0.05 * wall, (workers, res.stage_s, wall)
+                assert abs(covered - wall) <= 0.05 * wall, (one, res.stage_s, wall)
                 assert decode_bytes(res.data).decode_total_s > 0
 
 
