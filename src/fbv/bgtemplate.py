@@ -4,11 +4,13 @@ The encoder's gate (pipeline.encode) admits a new template when the luma
 MS-SSIM between the current template and the candidate background drops
 below the updating threshold gamma (default 0.98). Templates are
 residual-coded against the previous reconstructed template; the first
-template (and periodic anchors) code against a constant mid-gray 128 plane
-so the dependency chain can be re-entered without replaying the whole
-stream. Template coding always uses a fine fixed quality point: background
-fidelity is prioritized over rate because every interpolated frame inherits
-the template's errors.
+template (and periodic anchors) code against the constant mid-gray value
+128, so the dependency chain can be re-entered without replaying the whole
+stream. Both sides rebuild a template from its prediction and residual with
+residual.add_residual, the rule that also rebuilds foreground regions.
+Template coding always uses a fine fixed quality point: background fidelity
+is prioritized over rate because every interpolated frame inherits the
+template's errors.
 
 Backgrounds between two templates are never coded. Both sides recompute
 them by per-pixel linear interpolation
@@ -27,7 +29,7 @@ import numpy as np
 
 from .container import TemplateRecord
 from .core import Frame
-from .residual import QualityPoint, decode_residual, encode_residual
+from .residual import QualityPoint, add_residual, decode_residual, encode_residual
 
 TEMPLATE_QUALITY = QualityPoint(1.0, 6)
 ANCHOR_VALUE = 128
@@ -35,29 +37,23 @@ DEFAULT_GAMMA = 0.98
 ANCHOR_INTERVAL = 16
 
 
-def _base_planes(prev: Frame | None, shape: tuple[int, ...]) -> np.ndarray:
-    if prev is None:
-        return np.full(shape, ANCHOR_VALUE, dtype=np.int64)
-    return prev.planes.astype(np.int64)
-
-
 def encode_template(prev: Frame | None, candidate: Frame) -> tuple[bytes, Frame]:
     """Code candidate against the previous template's image prev (the mid-gray
-    anchor plane when prev is None); returns the payload and the image both
+    anchor value when prev is None); returns the payload and the image both
     sides rebuild from it."""
-    base = _base_planes(prev, candidate.planes.shape)
-    residual = candidate.planes.astype(np.int64) - base
+    prediction = ANCHOR_VALUE if prev is None else prev.planes
+    # formed in int64: uint8 planes minus the prediction would wrap
+    residual = candidate.planes.astype(np.int64) - prediction
     payload, (decoded,) = encode_residual([residual], TEMPLATE_QUALITY)
-    rec = np.clip(base + decoded, 0, 255).astype(np.uint8)
-    return payload, Frame(rec, candidate.frame_index)
+    return payload, Frame(add_residual(prediction, decoded), candidate.frame_index)
 
 
 def decode_template(prev: Frame | None, payload: bytes,
                     frame_index: int, height: int, width: int) -> Frame:
     """Decoder mirror of encode_template; bit-identical reconstruction."""
-    base = _base_planes(prev, (3, height, width))
+    prediction = ANCHOR_VALUE if prev is None else prev.planes
     (decoded,) = decode_residual(payload, [(height, width)], TEMPLATE_QUALITY)
-    return Frame(np.clip(base + decoded, 0, 255).astype(np.uint8), frame_index)
+    return Frame(add_residual(prediction, decoded), frame_index)
 
 
 def interpolated_background(b_prev: Frame, b_next: Frame, m: int, j: int) -> Frame:

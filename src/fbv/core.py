@@ -255,7 +255,11 @@ def _read_frame_payload(stream: BinaryIO, width: int, height: int,
     ysize = width * height
     csize = ysize // 4 if subsampled else ysize
     need = ysize + 2 * csize
-    buf = stream.read(need)
+    # each read asks for at most 64 KB more than has arrived: one read of the
+    # header's size would allocate that size before any payload byte is seen
+    buf = bytearray()
+    while len(buf) < need and (chunk := stream.read(min(need - len(buf), len(buf) + 65536))):
+        buf += chunk
     if len(buf) != need:
         prev = f"frame {index - 1}" if index else "no complete frame"
         raise VideoFormatError(f"truncated payload in frame {index}; last complete: {prev}")

@@ -14,9 +14,9 @@ one integer key per candidate, SAD * (candidate count) + rank of
 step keys the 3x3 neighbours of every block's winner the same way. All of
 it is integer arithmetic, so batching the search changes no choice.
 
-Warping is backward: the value at target (x, y) is fetched from the previous
-foreground at (x, y) - v with edge-clamped, bilinear half-pel sampling, and
-zeroed outside the region mask. The half-pel sample is
+Warping is backward, one (3, h, w) prediction per region: the value at target
+(x, y) is fetched from the previous foreground's uint8 planes at (x, y) - v
+with edge-clamped, bilinear half-pel sampling. The half-pel sample is
 
     ((a*(2-fx) + b*fx)*(2-fy) + (c*(2-fx) + d*fx)*fy + 2) >> 2
 
@@ -85,7 +85,7 @@ def _pad_to_block(patch: np.ndarray) -> np.ndarray:
 
 
 def _sample_halfpel(plane: np.ndarray, pos_y: np.ndarray, pos_x: np.ndarray) -> np.ndarray:
-    """Edge-clamped bilinear fetch at half-pel coordinates (int64 in/out)."""
+    """Edge-clamped bilinear fetch at half-pel coordinates (any integer plane in, int64 out)."""
     h, w = plane.shape
     pos_y = np.clip(pos_y, 0, 2 * (h - 1))
     pos_x = np.clip(pos_x, 0, 2 * (w - 1))
@@ -202,7 +202,7 @@ def estimate_flow(prev_fg: Frame, cur_fg: Frame, regions: RegionSet) -> FlowFiel
         raise ValueError("foreground dimensions differ")
     if not regions.regions:
         raise ValueError("empty region set")
-    prev = prev_fg.planes[0].astype(np.int64)
+    prev = prev_fg.planes[0]
     cur = cur_fg.planes[0].astype(np.int16)
     prev_padded = np.pad(prev_fg.planes[0].astype(np.int16), SEARCH_RANGE + BLOCK, mode="edge")
     grids = []
@@ -214,21 +214,18 @@ def estimate_flow(prev_fg: Frame, cur_fg: Frame, regions: RegionSet) -> FlowFiel
     return FlowField(regions.regions, tuple(grids))
 
 
-def warp(prev_fg: Frame, flow: FlowField) -> Frame:
-    """Backward-warp the previous foreground onto the flow's regions."""
-    out = np.zeros_like(prev_fg.planes, dtype=np.int64)
-    prev = prev_fg.planes.astype(np.int64)
+def warp(prev_fg: Frame, flow: FlowField) -> list[np.ndarray]:
+    """Backward-warp the previous foreground onto each of the flow's regions:
+    one (3, h, w) int64 prediction per region, in region order."""
+    predictions = []
     for region, grid in zip(flow.regions, flow.vectors):
         h, w = region.h, region.w
-        vy = _per_pixel(grid[:, :, 1])[:h, :w].astype(np.int64)
-        vx = _per_pixel(grid[:, :, 0])[:h, :w].astype(np.int64)
         yy, xx = np.mgrid[region.y:region.y2, region.x:region.x2]
-        pos_y = 2 * yy - vy
-        pos_x = 2 * xx - vx
-        for ch in range(3):
-            out[ch, region.y:region.y2, region.x:region.x2] = _sample_halfpel(
-                prev[ch], pos_y, pos_x)
-    return Frame(out.astype(np.uint8), prev_fg.frame_index)
+        pos_y = 2 * yy - _per_pixel(grid[:, :, 1])[:h, :w]
+        pos_x = 2 * xx - _per_pixel(grid[:, :, 0])[:h, :w]
+        predictions.append(np.stack([_sample_halfpel(plane, pos_y, pos_x)
+                                     for plane in prev_fg.planes]))
+    return predictions
 
 
 def _median3(a: int, b: int, c: int) -> int:

@@ -36,11 +36,12 @@ not exclusive: this process's rows and background wait cover the wall time.
 
 The decoder mirrors the loop exactly. Backgrounds come from linear
 interpolation between the bracketing templates, foregrounds from the same
-closed-loop warp + residual chain, composited through the region mask and
-then feathered. Feathering never enters the prediction loop, so the
-pre-enhancement reconstructions on both sides are bit-identical. Both
-directions are pure functions of (bytes, options): encoding the same input
-twice yields byte-identical streams.
+closed-loop chain: both sides rebuild each region from its warped prediction
+and its residual with add_residual (_foreground), and the foreground is
+composited through the region mask and then feathered. Feathering never
+enters the prediction loop, so the pre-enhancement reconstructions on both
+sides are bit-identical. Both directions are pure functions of (bytes,
+options): encoding the same input twice yields byte-identical streams.
 
 The encoder's closed-loop reconstruction, the full decode and a single-frame
 seek assemble every frame with one helper, _reconstruct: _bracket picks the
@@ -106,8 +107,7 @@ from .entropy import BitBudgetReport
 from .fgregion import combine_regions, fp
 from .metrics import ms_ssim, ms_ssim_reference
 from .motion import decode_flow, encode_flow, estimate_flow, warp
-from .residual import QualityPoint, decode_residual, encode_residual, \
-    reconstruct_foreground
+from .residual import QualityPoint, add_residual, decode_residual, encode_residual
 
 # rate ladder used by the CLI and the sweeps: 1 coarsest .. 4 finest
 QUALITY_LADDER = {
@@ -184,12 +184,11 @@ def _zero_frame(h: int, w: int, index: int) -> Frame:
     return Frame(np.zeros((3, h, w), dtype=np.uint8), index)
 
 
-def _assemble_foreground(warped: Frame, decoded_patches, used: RegionSet,
-                         index: int) -> Frame:
-    res_plane = np.zeros_like(warped.planes, dtype=np.int64)
-    for r, patch in zip(used.regions, decoded_patches):
-        res_plane[:, r.y:r.y2, r.x:r.x2] = patch
-    planes = reconstruct_foreground(warped.planes, res_plane, used.mask)
+def _foreground(regions: RegionSet, predictions, residuals, index: int) -> Frame:
+    """Each region rebuilt from its prediction and residual, zero elsewhere."""
+    planes = np.zeros((3, regions.height, regions.width), dtype=np.uint8)
+    for r, prediction, residual in zip(regions.regions, predictions, residuals):
+        planes[:, r.y:r.y2, r.x:r.x2] = add_residual(prediction, residual)
     return Frame(planes, index)
 
 
@@ -352,13 +351,13 @@ def encode(video: VideoSequence, config: EncoderConfig = EncoderConfig()) -> Enc
                 flow = estimate_flow(ref, cur, used)
                 flow_b = encode_flow(flow)
             with _timed(stage_s, "motion compensation"):
-                warped = warp(ref, flow)
+                predictions = warp(ref, flow)
             with _timed(stage_s, "residual codec"):
-                patches = [cur.planes[:, r.y:r.y2, r.x:r.x2].astype(np.int64)
-                           - warped.planes[:, r.y:r.y2, r.x:r.x2].astype(np.int64)
-                           for r in used.regions]
+                # the predictions are int64, so no difference wraps in uint8
+                patches = [cur.planes[:, r.y:r.y2, r.x:r.x2] - prediction
+                           for r, prediction in zip(used.regions, predictions)]
                 res_b, decoded = encode_residual(patches, q)
-                prev_fg = _assemble_foreground(warped, decoded, used, cur.frame_index)
+                prev_fg = _foreground(used, predictions, decoded, cur.frame_index)
             coded.append((t, used.regions, flow_b, res_b))
             fg_recon[t] = (used, prev_fg)
         records, images, background_s = next(background)
@@ -392,14 +391,14 @@ def _bracket(tframes, t: int) -> tuple[int, int]:
 def _decode_record(header: StreamHeader, rec: ForegroundRecord,
                    prev: Frame | None) -> tuple[RegionSet, Frame]:
     """Closed-loop decode of one foreground record: warp prev, the decoded
-    record of the frame before it (None when rec starts a run), then add the
-    residual."""
+    record of the frame before it (None when rec starts a run), onto each
+    region, then add each region's residual."""
     h, w = header.height, header.width
     rs = RegionSet(rec.regions, h, w)
     ref = prev if prev is not None else _zero_frame(h, w, rec.frame_no)
-    warped = warp(ref, decode_flow(rec.flow, rs))
-    patches = decode_residual(rec.residual, [(r.h, r.w) for r in rec.regions], header.quality)
-    return rs, _assemble_foreground(warped, patches, rs, rec.frame_no)
+    predictions = warp(ref, decode_flow(rec.flow, rs))
+    residuals = decode_residual(rec.residual, [(r.h, r.w) for r in rec.regions], header.quality)
+    return rs, _foreground(rs, predictions, residuals, rec.frame_no)
 
 
 def _reconstruct(tframes, image, t: int, fg: tuple[RegionSet, Frame] | None) -> Frame:

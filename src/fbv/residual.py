@@ -31,9 +31,10 @@ the 8.8 fixed-point delta.
 Patches of any size are coded: a patch is edge-padded to whole 8x8 blocks
 and its reconstruction cropped back. `quantize` is the one quantizer and
 `_synthesize` (dequantize, inverse transform, clip, unblock, crop) the one
-reconstruction; the encoder takes its reference from `_synthesize` on the
-levels it codes, the decoder on the levels it decodes, so the two agree
-bit for bit.
+reconstruction of a residual; the encoder takes its reference from
+`_synthesize` on the levels it codes, the decoder on the levels it decodes,
+so the two agree bit for bit. `add_residual` adds a residual to its
+prediction, for foreground regions and background templates alike.
 """
 
 from __future__ import annotations
@@ -412,8 +413,6 @@ def decode_levels(data: bytes, blocks: Sequence[int], top: int) -> list[int]:
     return out
 
 
-def reconstruct_foreground(predicted: np.ndarray, residual: np.ndarray,
-                           mask: np.ndarray) -> np.ndarray:
-    """clamp(predicted + residual, 0, 255) inside the mask, zero outside."""
-    rec = np.clip(predicted.astype(np.int64) + residual.astype(np.int64), 0, 255)
-    return np.where(mask[None, :, :], rec, 0).astype(np.uint8)
+def add_residual(prediction: np.ndarray | int, residual: np.ndarray) -> np.ndarray:
+    """The one reconstruction rule: clip(prediction + residual, 0, 255) as uint8."""
+    return np.clip(prediction + residual, 0, 255).astype(np.uint8)

@@ -23,6 +23,7 @@ DEAD_SITES = {
     ("fbv.pipeline", "lookup"),
     ("fbv.pipeline", "build_segments"),
     ("fbv.pipeline", "decode_stream"),
+    ("fbv.pipeline", "reconstruct_foreground"),
 }
 
 

@@ -1,8 +1,13 @@
 """Wire format: round trips, validation taxonomy, bit budgets."""
 
+import os
+import resource
 import struct
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +19,8 @@ from fbv.container import (TAG_FOREGROUND, TAG_TEMPLATE, FbvStream, ForegroundRe
 from fbv.core import Region
 from fbv.pipeline import _bracket, decode_frame
 from fbv.residual import QualityPoint
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _header(frame_count=20, **kw):
@@ -182,6 +189,23 @@ class TestStreamValidation:
             write_stream(s)
 
 
+def _anchor_only(side):
+    """A one-frame stream of side x side frames whose anchor payload is empty."""
+    return write_stream(FbvStream(_header(1, width=side, height=side),
+                                  (TemplateRecord(0, True, b""),), ()))
+
+
+def _capped(argv, stdin=b""):
+    """Run argv with fbv importable and its address space capped at 3 GiB."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    return subprocess.run(argv, input=stdin, capture_output=True, env=env,
+                          preexec_fn=cap, timeout=120)
+
+
 class TestWireErrors:
     def test_huge_claimed_frame_count_costs_only_the_input(self):
         # under 100 bytes, yet the header claims 4 M frames; the last
@@ -202,6 +226,31 @@ class TestWireErrors:
             tracemalloc.stop()
         assert elapsed < 1.0
         assert peak < 4 * 2 ** 20
+
+    @pytest.mark.parametrize("side", [2048, 65535])
+    def test_huge_claimed_frame_size_costs_only_the_input(self, side, tmp_path):
+        # 89 bytes: one anchor template with an empty payload, yet the header
+        # claims side x side frames. The anchor's prediction is one value, so
+        # the decode fails on the payload before allocating a frame.
+        data = _anchor_only(side)
+        assert len(data) == 89
+        # a regression would allocate GiBs at 65535: the decode runs in a child
+        # whose address space is capped, and measures itself there
+        probe = ("import sys, tracemalloc; from fbv.pipeline import decode_bytes\n"
+                 "from fbv.entropy import EntropyDecodeError\n"
+                 "data = sys.stdin.buffer.read(); tracemalloc.start()\n"
+                 "try:\n    decode_bytes(data)\n"
+                 "except EntropyDecodeError:\n"
+                 "    print(tracemalloc.get_traced_memory()[1])\n")
+        run = _capped([sys.executable, "-c", probe], data)
+        assert run.returncode == 0, run.stderr
+        assert int(run.stdout) < 4 * 2 ** 20
+        src, out = tmp_path / "huge.fbv", tmp_path / "huge.y4m"
+        src.write_bytes(data)
+        run = _capped([sys.executable, "-m", "fbv.cli", "decode", "-i", str(src), "-o", str(out)])
+        assert run.returncode == 3, run.stderr
+        assert b"payload shorter than coder preamble" in run.stderr
+        assert list(tmp_path.iterdir()) == [src]
 
     def test_bad_magic(self):
         with pytest.raises(ContainerError, match="bad magic"):

@@ -1,6 +1,7 @@
 """Frame, region, and Y4M serialization basics."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,32 @@ class TestY4m:
         assert target.read_bytes().startswith(b"YUV4MPEG2 ")
         write_y4m(self._sequence(), str(link))
         assert link.is_symlink() and len(read_y4m(str(target)).frames) == 3
+
+    def test_huge_claimed_frame_costs_only_the_input(self, tmp_path):
+        # 52 bytes claim a 4096x4096 4:4:4 frame (48 MiB); the payload is read
+        # in chunks that follow the bytes present, not the header's size
+        data = b"YUV4MPEG2 W4096 H4096 F25:1 C444\nFRAME\n" + bytes(13)
+        assert len(data) == 52
+        path = tmp_path / "huge.y4m"
+        path.write_bytes(data)
+        with open(path, "rb") as fh:
+            for source in (str(path), fh):
+                tracemalloc.start()
+                try:
+                    with pytest.raises(VideoFormatError, match="truncated payload in frame 0"):
+                        read_y4m(source)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 2 ** 20
+
+    def test_payload_longer_than_one_chunk_is_read_whole(self):
+        seq = self._sequence(h=144, w=160, n=2)
+        buf = io.BytesIO()
+        write_y4m(seq, buf, force_444=True)         # 69 120 bytes a frame
+        back = read_y4m(io.BufferedReader(io.BytesIO(buf.getvalue()), buffer_size=4096))
+        for a, b in zip(seq.frames, back.frames):
+            assert np.array_equal(a.planes, b.planes)
 
     def test_bad_magic_rejected(self):
         from fbv.core import VideoFormatError

@@ -16,7 +16,7 @@ from fbv import evaluate, pipeline
 from fbv.bgtemplate import encode_template, interpolated_background
 from fbv.container import (ContainerError, FbvStream, StreamHeader, TemplateRecord,
                            budget_of, read_stream, write_stream)
-from fbv.core import ConfigError, FbvError, Frame, VideoSequence
+from fbv.core import ConfigError, FbvError, Frame, Region, RegionSet, VideoSequence
 from fbv.entropy import EntropyDecodeError
 from fbv.evaluate import analyze_bytes, rd_sweep, score, sweep_csv
 from fbv.metrics import ms_ssim, ms_ssim_reference
@@ -252,6 +252,22 @@ class TestDecode:
         dec = decode_bytes(sq_result.data)
         for t, f in enumerate(dec.video.frames):
             assert f.frame_index == t
+
+
+class TestForeground:
+    def test_regions_rebuilt_clamped_and_zero_outside(self):
+        rng = np.random.default_rng(17)
+        # one region meets the right and bottom edges, one is not a multiple of 8
+        rs = RegionSet((Region(0, 0, 8, 8), Region(19, 13, 13, 11)), 24, 32)
+        predictions = [rng.integers(0, 256, (3, r.h, r.w)) for r in rs.regions]
+        residuals = [rng.integers(-300, 301, (3, r.h, r.w)) for r in rs.regions]
+        fg = pipeline._foreground(rs, predictions, residuals, 7)
+        assert fg.frame_index == 7
+        assert fg.planes.shape == (3, 24, 32)
+        for r, prediction, residual in zip(rs.regions, predictions, residuals):
+            assert np.array_equal(fg.planes[:, r.y:r.y2, r.x:r.x2],
+                                  np.clip(prediction + residual, 0, 255))
+        assert (fg.planes[:, ~rs.mask] == 0).all()
 
 
 class TestRandomAccess:

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbv.entropy import EntropyDecodeError
-from fbv.residual import (ZIGZAG, QualityPoint, decode_residual, encode_residual,
-                          fwd2d, fwd8, inv2d, inv8, quantize, reconstruct_foreground)
+from fbv.residual import (ZIGZAG, QualityPoint, add_residual, decode_residual,
+                          encode_residual, fwd2d, fwd8, inv2d, inv8, quantize)
 
 rng = np.random.default_rng(42)
 
@@ -223,18 +223,24 @@ class TestResidualCodec:
 
 
 class TestReconstruct:
-    def test_masked_clamped_sum(self):
-        pred = np.full((3, 16, 16), 250, dtype=np.uint8)
+    def test_clamped_sum(self):
+        pred = np.full((3, 16, 16), 250, dtype=np.int64)
         res = np.full((3, 16, 16), 20, dtype=np.int64)
-        mask = np.zeros((16, 16), dtype=bool)
-        mask[:8] = True
-        out = reconstruct_foreground(pred, res, mask)
+        res[:, 8:] = -5
+        out = add_residual(pred, res)
         assert out.dtype == np.uint8
         assert (out[:, :8] == 255).all()   # clamped at the top
-        assert (out[:, 8:] == 0).all()     # outside the mask
+        assert (out[:, 8:] == 245).all()   # in range, the plain sum
 
     def test_negative_residual_clamps_at_zero(self):
         pred = np.full((3, 16, 16), 10, dtype=np.uint8)
         res = np.full((3, 16, 16), -30, dtype=np.int64)
-        out = reconstruct_foreground(pred, res, np.ones((16, 16), dtype=bool))
+        out = add_residual(pred, res)
+        assert out.dtype == np.uint8
         assert (out == 0).all()
+
+    def test_scalar_prediction_is_broadcast(self):
+        res = np.array([[[-200, -128, 0, 127, 200]]] * 3, dtype=np.int64)
+        out = add_residual(128, res)
+        assert out.shape == res.shape
+        assert (out == [0, 0, 128, 255, 255]).all()
