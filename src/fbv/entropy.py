@@ -22,7 +22,11 @@ lists (`eg0_bins` gives the order-0 exp-Golomb bins), and `encode_bins`
 then codes the whole payload in one loop. A decode is one loop per payload
 too, with the coder state in local variables: `bin_decoder` returns a
 closure that decodes one bin, and `residual.decode_levels` writes the bin
-decode inline. Every such loop follows this description bin for bin.
+decode inline. Every such loop follows this description bin for bin, and
+so does the second implementation of the residual payload loops in C
+(`_rc.c`, see `residual.compiled`), which codes and decodes residual
+payloads wherever it is built; tests/test_rc.py holds it to the Python
+loops' bytes, levels and errors.
 """
 
 from __future__ import annotations

@@ -107,7 +107,7 @@ from .entropy import BitBudgetReport
 from .fgregion import combine_regions, fp
 from .metrics import ms_ssim, ms_ssim_reference
 from .motion import decode_flow, encode_flow, estimate_flow, warp
-from .residual import QualityPoint, add_residual, decode_residual, encode_residual
+from .residual import QualityPoint, add_residual, compiled, decode_residual, encode_residual
 
 # rate ladder used by the CLI and the sweeps: 1 coarsest .. 4 finest
 QUALITY_LADDER = {
@@ -333,6 +333,7 @@ def encode(video: VideoSequence, config: EncoderConfig = EncoderConfig()) -> Enc
     fg_recon: dict[int, tuple[RegionSet, Frame]] = {}
     prev_fg: Frame | None = None
     rs_prev = RegionSet((), h, w)
+    compiled()      # the coder is resolved here, so the worker inherits it
     with _forked(_background_pass(frames, config, gamma), stage_s) as (background, _):
         for t, cur in enumerate(frames):
             score, packed = next(background)
@@ -483,6 +484,7 @@ class Decoder:
     def _worker(self, start: int) -> tuple[ExitStack, tuple]:
         """Start the worker for a walk from start: (the stack that reaps it, its
         (items, ready))."""
+        compiled()      # the coder is resolved here, so the worker inherits it
         stack = ExitStack()
         return stack, stack.enter_context(_forked(self._template_pass(start), {}))
 

@@ -35,6 +35,16 @@ reconstruction of a residual; the encoder takes its reference from
 `_synthesize` on the levels it codes, the decoder on the levels it decodes,
 so the two agree bit for bit. `add_residual` adds a residual to its
 prediction, for foreground regions and background templates alike.
+
+Payload loops
+-------------
+`_binarize` (with `entropy.encode_bins`) and `decode_levels` are the
+normative payload loops. `_rc.c` implements the same two loops in C, bin
+for bin; `compiled()` builds or loads it on first use (`fbv.native`), and
+`encode_residual` and `decode_residual` then run it, for foreground records
+and templates alike, in the caller and in a forked worker, which inherits
+what the caller resolved. Where it cannot be built or loaded, the Python
+loops run; both give the same bytes and levels, and raise the same errors.
 """
 
 from __future__ import annotations
@@ -44,6 +54,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import native
 from .entropy import (HALVE_AT, MAX_EG0_PREFIX, PROB_BITS, RANGE_MIN, ContextModel,
                       EntropyDecodeError, check_termination, decode_start, eg0_bins,
                       encode_bins, renormalize)
@@ -211,6 +222,19 @@ _SIG_CTX = tuple(tuple(_CTX_SIG + cc * 8 + g * 2 for g in _BAND_GROUP.tolist()) 
 _LAST_CTX = tuple(tuple(_CTX_LAST + cc * 4 + g for g in _BAND_GROUP.tolist()) for cc in (0, 1))
 
 
+_rc = False     # the compiled coder: False until compiled() looks, then the module or None
+
+
+def compiled():
+    """The compiled coder (fbv.native), built or loaded on the first call, or None
+    where it cannot be; encode_residual and decode_residual use it when it is
+    there, and the Python loops here otherwise."""
+    global _rc
+    if _rc is False:
+        _rc = native.load()
+    return _rc
+
+
 def encode_residual(patches: Sequence[np.ndarray],
                     q: QualityPoint) -> tuple[bytes, list[np.ndarray]]:
     """Code (3, h, w) residual patches into one entropy payload.
@@ -218,8 +242,11 @@ def encode_residual(patches: Sequence[np.ndarray],
     Returns (payload, decoded_patches): the decoded side is what
     decode_residual returns for the payload.
     """
+    rc = compiled()
     ctxs: list[int] = []
     bits: list[int] = []
+    signed: list[np.ndarray] = []
+    counts: list[int] = []     # blocks per plane of each patch
     decoded: list[np.ndarray] = []
     for patch in patches:
         if patch.ndim != 3 or patch.shape[0] != 3:
@@ -231,9 +258,15 @@ def encode_residual(patches: Sequence[np.ndarray],
         flat = fwd2d(blocks).reshape(3, -1, 64)[..., ZIGZAG]
         levels = quantize(np.abs(flat), q.delta_fp)
         signs = np.sign(flat)
-        _binarize(levels, signs, q.top_center, ctxs, bits)
-        decoded.append(_synthesize(signs * levels, q.delta_fp, h, w))
-    return encode_bins(ctxs, bits, residual_context_model()), decoded
+        if rc is None:
+            _binarize(levels, signs, q.top_center, ctxs, bits)
+        signed.append(signs * levels)
+        counts.append(levels.shape[1])
+        decoded.append(_synthesize(signed[-1], q.delta_fp, h, w))
+    if rc is None:
+        return encode_bins(ctxs, bits, residual_context_model()), decoded
+    flat = np.concatenate([np.empty(0, np.int64)] + [s.ravel() for s in signed])
+    return rc.encode_levels(flat, counts, q.top_center), decoded
 
 
 def _binarize(levels: np.ndarray, signs: np.ndarray, top: int,
@@ -288,7 +321,9 @@ def decode_residual(data: bytes, shapes: Sequence[tuple[int, int]],
                     q: QualityPoint) -> list[np.ndarray]:
     """Inverse of encode_residual; shapes lists each patch's (h, w)."""
     blocks = [(_ceil8(h) // 8) * (_ceil8(w) // 8) for h, w in shapes]
-    levels = np.array(decode_levels(data, blocks, q.top_center), dtype=np.int64)
+    rc = compiled()
+    levels = (np.array(decode_levels(data, blocks, q.top_center), dtype=np.int64) if rc is None
+              else np.frombuffer(rc.decode_levels(data, blocks, q.top_center), dtype=np.int64))
     patches: list[np.ndarray] = []
     at = 0
     for (h, w), n in zip(shapes, blocks):
@@ -299,6 +334,7 @@ def decode_residual(data: bytes, shapes: Sequence[tuple[int, int]],
 
 # what the next bin of a block codes, in decode_levels
 _ZERO, _SIG, _SIGN, _PREFIX, _SUFFIX, _LAST = range(6)
+_ZERO_BLOCK = [0] * 64
 
 
 def decode_levels(data: bytes, blocks: Sequence[int], top: int) -> list[int]:
@@ -309,12 +345,15 @@ def decode_levels(data: bytes, blocks: Sequence[int], top: int) -> list[int]:
     rng and the model's counters) lives in local variables, and the bin
     decode, written once, follows the coder description in `fbv.entropy`.
     `step` names the element of the binarization (see `_binarize`) the bin
-    belongs to; after each bin it picks the next step and context.
+    belongs to; after each bin it picks the next step and context. The
+    output grows by one block as each block's decode begins, so a payload
+    that claims more blocks than it codes fails before its claim is
+    allocated.
     """
     model = residual_context_model()
     c0, c1 = model.c0, model.c1
     pos, code, rng = decode_start(data)
-    out = [0] * (192 * sum(blocks))
+    out: list[int] = []
     at = 0
     for n in blocks:
         for ch in range(3):
@@ -323,6 +362,7 @@ def decode_levels(data: bytes, blocks: Sequence[int], top: int) -> list[int]:
             mag, esc = _CTX_MAG_PREFIX + cc * 4, _CTX_ESC_PREFIX + cc * 3
             sig_ctx, last_ctx = _SIG_CTX[cc], _LAST_CTX[cc]
             for _ in range(n):
+                out += _ZERO_BLOCK
                 step, ctx, i = _ZERO, zero_ctx, 0
                 while True:
                     n0 = c0[ctx]

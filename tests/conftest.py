@@ -7,6 +7,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from fbv import residual
 from fbv.core import Frame, VideoSequence
 
 
@@ -123,3 +124,16 @@ def in_one_process():
     """The whole test under one_process()."""
     with one_process():
         yield
+
+
+@contextmanager
+def python_coder():
+    """Run the block with the compiled coder set aside, so that the Python loops
+    of fbv.residual code and decode every residual payload (in a forked worker
+    too, which inherits the setting)."""
+    saved = residual._rc
+    residual._rc = None
+    try:
+        yield
+    finally:
+        residual._rc = saved

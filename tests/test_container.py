@@ -189,10 +189,10 @@ class TestStreamValidation:
             write_stream(s)
 
 
-def _anchor_only(side):
-    """A one-frame stream of side x side frames whose anchor payload is empty."""
+def _anchor_only(side, payload=b""):
+    """A one-frame stream of side x side frames whose anchor payload is payload."""
     return write_stream(FbvStream(_header(1, width=side, height=side),
-                                  (TemplateRecord(0, True, b""),), ()))
+                                  (TemplateRecord(0, True, payload),), ()))
 
 
 def _capped(argv, stdin=b""):
@@ -250,6 +250,35 @@ class TestWireErrors:
         run = _capped([sys.executable, "-m", "fbv.cli", "decode", "-i", str(src), "-o", str(out)])
         assert run.returncode == 3, run.stderr
         assert b"payload shorter than coder preamble" in run.stderr
+        assert list(tmp_path.iterdir()) == [src]
+
+    @pytest.mark.parametrize("coder", ["default", "python"])
+    @pytest.mark.parametrize("side", [2048, 65535])
+    def test_huge_claimed_frame_size_with_a_payload_costs_only_the_input(self, side, coder,
+                                                                         tmp_path):
+        # 94 bytes: the anchor payload is 5 zero bytes, which pass the coder's
+        # preamble check, so the levels decode starts; its output grows with the
+        # blocks it decodes, not with the side x side the header claims. Both
+        # coders, the compiled one (where it loads) and the Python one.
+        data = _anchor_only(side, bytes(5))
+        assert len(data) == 94
+        setup = "import sys, fbv.residual\n" + (
+            "fbv.residual._rc = None\n" if coder == "python" else "")
+        probe = setup + ("import tracemalloc; from fbv.pipeline import decode_bytes\n"
+                         "from fbv.entropy import EntropyDecodeError\n"
+                         "data = sys.stdin.buffer.read(); tracemalloc.start()\n"
+                         "try:\n    decode_bytes(data)\n"
+                         "except EntropyDecodeError:\n"
+                         "    print(tracemalloc.get_traced_memory()[1])\n")
+        run = _capped([sys.executable, "-c", probe], data)
+        assert run.returncode == 0, run.stderr
+        assert int(run.stdout) < 4 * 2 ** 20
+        src, out = tmp_path / "huge.fbv", tmp_path / "huge.y4m"
+        src.write_bytes(data)
+        cli = setup + "from fbv.cli import main\nraise SystemExit(main(sys.argv[1:]))\n"
+        run = _capped([sys.executable, "-c", cli, "decode", "-i", str(src), "-o", str(out)])
+        assert run.returncode == 3, run.stderr
+        assert b"payload truncated mid-symbol" in run.stderr
         assert list(tmp_path.iterdir()) == [src]
 
     def test_bad_magic(self):

@@ -13,8 +13,8 @@ from fbv.core import Region, RegionSet
 from fbv.entropy import (BitBudgetReport, ContextModel, EntropyDecodeError, bin_decoder,
                          decode_bits, decode_eg0, eg0_bins, encode_bins, encode_bits)
 from fbv.motion import SEARCH_RANGE, FlowField, decode_flow, encode_flow
-from fbv.residual import (_SIG_CTX, QualityPoint, _ceil8, decode_levels, encode_residual,
-                          residual_context_model)
+from fbv.residual import (_SIG_CTX, QualityPoint, _ceil8, compiled, decode_levels,
+                          encode_residual, residual_context_model)
 
 
 def _round_trip(bits, contexts=None, num_contexts=1):
@@ -250,6 +250,9 @@ class TestAgainstReference:
             decode_levels(data, [1], 3)
         with pytest.raises(EntropyDecodeError, match=error):
             refcoder.decode_levels(data, [(8, 8)], 3)
+        if compiled() is not None:      # the compiled coder, where it loads, fails alike
+            with pytest.raises(EntropyDecodeError, match=error):
+                compiled().decode_levels(data, [1], 3)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_flow_payloads(self, seed):

@@ -12,11 +12,12 @@ templates and some foreground regions are not multiples of 8 (the residual
 codec's edge padding and crop). Each stream is pinned twice: encoded and
 decoded with the background half in its forked worker (the default in a
 process that runs one thread) and with both halves in one process (with a
-second thread parked).
+second thread parked), and each of those both with the compiled residual
+coder (the default where it loads) and with the Python coder alone.
 
 Random access is pinned too: seeking every frame of a stream in reverse
 order on one opened stream must hash to the same frames digest, in one
-process or two.
+process or two, with either coder.
 
 The scores are pinned the same way, through the command line: the
 `fbv rd-sweep` CSV and the `fbv decode --report` rows of the square clip
@@ -32,7 +33,7 @@ import hashlib
 import os
 import threading
 import time
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from functools import lru_cache
 
 import numpy as np
@@ -44,7 +45,7 @@ from fbv.core import write_y4m
 from fbv.entropy import EntropyDecodeError
 from fbv.pipeline import EncoderConfig, decode_bytes, decode_frame, encode, ladder_point
 
-from conftest import moving_square_video, one_process, static_video, step_video
+from conftest import moving_square_video, one_process, python_coder, static_video, step_video
 
 # name: (clip builder, encoder overrides)
 CLIPS = {
@@ -85,17 +86,26 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _runs(one: bool, python: bool):
+    """The context of an encode or decode: in one process or forked, with the
+    Python coder alone or the default one."""
+    stack = ExitStack()
+    stack.enter_context(one_process() if one else nullcontext())
+    stack.enter_context(python_coder() if python else nullcontext())
+    return stack
+
+
 @lru_cache(maxsize=None)
-def _stream(name: str, point: int, one: bool = False) -> bytes:
+def _stream(name: str, point: int, one: bool = False, python: bool = False) -> bytes:
     q = ladder_point(point)
     cfg = EncoderConfig(delta_q=q.delta_q, levels=q.levels, init_frames=8, **CLIPS[name][1])
-    with one_process() if one else nullcontext():
+    with _runs(one, python):
         return encode(_clip(name), cfg).data
 
 
-def _digests(name: str, point: int, one: bool = False) -> tuple[str, str]:
-    data = _stream(name, point, one)
-    with one_process() if one else nullcontext():
+def _digests(name: str, point: int, one: bool = False, python: bool = False) -> tuple[str, str]:
+    data = _stream(name, point, one, python)
+    with _runs(one, python):
         frames = decode_bytes(data).video.frames
     return _sha(data), _sha(b"".join(f.planes.tobytes() for f in frames))
 
@@ -110,6 +120,13 @@ def test_golden_digests(name, point):
 @pytest.mark.parametrize("name,point", sorted(GOLDEN))
 def test_golden_digests_in_one_process(name, point):
     assert _digests(name, point, one=True) == GOLDEN[name, point]
+
+
+@pytest.mark.parametrize("name,point", sorted(GOLDEN))
+def test_golden_digests_with_the_python_coder(name, point):
+    assert threading.active_count() == 1
+    assert _digests(name, point, python=True) == GOLDEN[name, point]
+    assert _digests(name, point, one=True, python=True) == GOLDEN[name, point]
 
 
 def test_golden_table_covers_every_clip_and_ladder_point():
@@ -189,11 +206,13 @@ def _mutate(data: bytes, rng) -> bytes:
 @pytest.mark.parametrize("name,point", FUZZ_STREAMS)
 def test_reverse_seeks_match_the_golden_frames(name, point):
     for one in (True, False):
-        stream = read_stream(_stream(name, point))
-        with one_process() if one else nullcontext():
-            frames = [decode_frame(stream, t) for t in reversed(range(stream.header.frame_count))]
-        assert (_sha(b"".join(f.planes.tobytes() for f in reversed(frames)))
-                == GOLDEN[name, point][1]), one
+        for python in (False, True):
+            stream = read_stream(_stream(name, point))
+            with _runs(one, python):
+                frames = [decode_frame(stream, t)
+                          for t in reversed(range(stream.header.frame_count))]
+            assert (_sha(b"".join(f.planes.tobytes() for f in reversed(frames)))
+                    == GOLDEN[name, point][1]), (one, python)
 
 
 @pytest.mark.parametrize("name,point", FUZZ_STREAMS)

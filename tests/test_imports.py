@@ -36,3 +36,20 @@ def test_package_root_loads_no_module():
 
 def test_region_sets_keep_their_old_address():
     assert fgregion.RegionSet is core.RegionSet
+
+
+def test_import_and_help_build_and_load_no_compiled_coder(tmp_path):
+    # the compiled coder is built on first use, never at import: after
+    # `import fbv.cli` and `fbv --help` the cache directory is still empty
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    code = ("import json, sys, fbv.cli\n"
+            "try:\n    fbv.cli.main(['--help'])\nexcept SystemExit:\n    pass\n"
+            "import fbv.residual\n"
+            "print(json.dumps([fbv.residual._rc is False,"
+            " [m for m in sys.modules if m.split('.')[-1] == '_rc']]))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path, "XDG_CACHE_HOME": str(tmp_path)},
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [True, []]
+    assert list(tmp_path.iterdir()) == []
