@@ -10,8 +10,9 @@ both counters are halved (rounding up, so they stay >= 1). The zero
 probability used for the split is (c0 * 2048) // (c0 + c1) clamped to
 [1, 2047]; the split point is (range >> 11) * p0. Renormalization emits a
 byte whenever range < 2**24. Termination appends 16 zero bits coded at a
-fixed half/half split, then flushes five bytes; the decoder verifies the
-check bits and treats any byte read past the payload end as corruption.
+fixed half/half split, then flushes five bytes; the decoder verifies each
+check bit before it reads the bytes that bit's renormalization needs, and
+treats any byte read past the payload end as corruption.
 
 Encoder and decoder must derive probabilities through the same code path;
 any divergence desynchronizes the interval walk.
@@ -19,14 +20,15 @@ any divergence desynchronizes the interval walk.
 Payloads are coded as CABAC does it: binarization apart from the coding
 engine. A payload's symbols are first binarized into flat (context, bit)
 lists (`eg0_bins` gives the order-0 exp-Golomb bins), and `encode_bins`
-then codes the whole payload in one loop. A decode is one loop per payload
-too, with the coder state in local variables: `bin_decoder` returns a
-closure that decodes one bin, and `residual.decode_levels` writes the bin
-decode inline. Every such loop follows this description bin for bin, and
-so does the second implementation of the residual payload loops in C
-(`_rc.c`, see `residual.compiled`), which codes and decodes residual
-payloads wherever it is built; tests/test_rc.py holds it to the Python
-loops' bytes, levels and errors.
+then codes the whole payload in one loop. Every Python decode reads its
+bins through `bin_decoder`, whose closure decodes one bin with the coder
+state in the closure, and `decode_eg0` on top of it: residual levels, flow
+fields and plain bit lists alike. Nothing else in Python inlines the bin
+decode, so this module is the one that holds the probability rule, the
+renormalization and the termination. The residual payload loops have a
+second implementation in C (`_rc.c`, see `residual.compiled`), which codes
+and decodes residual payloads wherever it is built; tests/test_rc.py holds
+it to the Python loops' bytes, levels and errors.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 _TOP = 1 << 32
-RANGE_MIN = 1 << 24      # renormalize whenever range drops below this
-PROB_BITS = 11           # probabilities are in units of 2**-11
-HALVE_AT = 1 << 14       # a context's counters halve when their total reaches this
+_RANGE_MIN = 1 << 24     # renormalize whenever range drops below this
+_PROB_BITS = 11          # probabilities are in units of 2**-11
+_HALVE_AT = 1 << 14      # a context's counters halve when their total reaches this
 MAX_EG0_PREFIX = 40      # an exp-Golomb prefix longer than this means a corrupt payload
 
 
@@ -90,7 +92,7 @@ def encode_bins(ctxs, bits, model: ContextModel) -> bytes:
         n1 = c1[ctx]
         # n1 >= 1 keeps p0 <= 2047, so only the floor needs a clamp
         t = n0 + n1
-        bound = (rng >> PROB_BITS) * ((n0 << PROB_BITS) // t or 1)
+        bound = (rng >> _PROB_BITS) * ((n0 << _PROB_BITS) // t or 1)
         if bit:
             low += bound
             rng -= bound
@@ -98,15 +100,15 @@ def encode_bins(ctxs, bits, model: ContextModel) -> bytes:
         else:
             rng = bound
             c0[ctx] = n0 + 1
-        if t + 1 >= HALVE_AT:
+        if t + 1 >= _HALVE_AT:
             c0[ctx] = (c0[ctx] + 1) >> 1
             c1[ctx] = (c1[ctx] + 1) >> 1
-        while rng < RANGE_MIN:
+        while rng < _RANGE_MIN:
             low, cache, cache_size = _shift_low(out, low, cache, cache_size)
             rng <<= 8
     for _ in range(16):
         rng >>= 1
-        while rng < RANGE_MIN:
+        while rng < _RANGE_MIN:
             low, cache, cache_size = _shift_low(out, low, cache, cache_size)
             rng <<= 8
     for _ in range(5):
@@ -114,47 +116,31 @@ def encode_bins(ctxs, bits, model: ContextModel) -> bytes:
     return bytes(out)
 
 
-def decode_start(data: bytes) -> tuple[int, int, int]:
-    """The decoder state (pos, code, rng) after the payload's preamble."""
-    if len(data) < 5:
-        raise EntropyDecodeError("payload shorter than coder preamble")
-    return 5, int.from_bytes(data[:5], "big") & 0xFFFFFFFF, _TOP - 1
-
-
-def renormalize(data: bytes, pos: int, code: int, rng: int) -> tuple[int, int, int]:
-    """Shift payload bytes into code until rng >= 2**24 again."""
-    while rng < RANGE_MIN:
-        if pos >= len(data):
-            raise EntropyDecodeError("payload truncated mid-symbol")
-        code = ((code << 8) | data[pos]) & 0xFFFFFFFF
-        pos += 1
-        rng <<= 8
-    return pos, code, rng
-
-
-def check_termination(data: bytes, pos: int, code: int, rng: int) -> None:
-    """Verify the 16 termination check bits that end every payload."""
-    for _ in range(16):
-        rng >>= 1
-        if code >= rng:
-            raise EntropyDecodeError("termination check failed: payload corrupt")
-        if rng < RANGE_MIN:
-            pos, code, rng = renormalize(data, pos, code, rng)
-
-
 def bin_decoder(data: bytes, model: ContextModel):
     """(decode, finish) over one payload: decode(ctx) returns its next bin
     coded under ctx, finish() checks the termination. The coder state lives
     in the closures, so a payload loop calls no method."""
+    if len(data) < 5:
+        raise EntropyDecodeError("payload shorter than coder preamble")
     c0, c1 = model.c0, model.c1
-    pos, code, rng = decode_start(data)
+    pos, code, rng = 5, int.from_bytes(data[:5], "big") & 0xFFFFFFFF, _TOP - 1
+
+    def refill() -> None:
+        # shift payload bytes into code until rng >= _RANGE_MIN again
+        nonlocal pos, code, rng
+        while rng < _RANGE_MIN:
+            if pos >= len(data):
+                raise EntropyDecodeError("payload truncated mid-symbol")
+            code = ((code << 8) | data[pos]) & 0xFFFFFFFF
+            pos += 1
+            rng <<= 8
 
     def decode(ctx: int) -> int:
-        nonlocal pos, code, rng
+        nonlocal code, rng
         n0 = c0[ctx]
         n1 = c1[ctx]
         t = n0 + n1
-        bound = (rng >> PROB_BITS) * ((n0 << PROB_BITS) // t or 1)
+        bound = (rng >> _PROB_BITS) * ((n0 << _PROB_BITS) // t or 1)
         if code < bound:
             bit = 0
             rng = bound
@@ -164,15 +150,22 @@ def bin_decoder(data: bytes, model: ContextModel):
             code -= bound
             rng -= bound
             c1[ctx] = n1 + 1
-        if t + 1 >= HALVE_AT:
+        if t + 1 >= _HALVE_AT:
             c0[ctx] = (c0[ctx] + 1) >> 1
             c1[ctx] = (c1[ctx] + 1) >> 1
-        if rng < RANGE_MIN:
-            pos, code, rng = renormalize(data, pos, code, rng)
+        if rng < _RANGE_MIN:
+            refill()
         return bit
 
     def finish() -> None:
-        check_termination(data, pos, code, rng)
+        # the 16 termination check bins, each a zero at a fixed half/half split
+        nonlocal rng
+        for _ in range(16):
+            rng >>= 1
+            if code >= rng:
+                raise EntropyDecodeError("termination check failed: payload corrupt")
+            if rng < _RANGE_MIN:
+                refill()
 
     return decode, finish
 

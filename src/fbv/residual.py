@@ -39,12 +39,14 @@ prediction, for foreground regions and background templates alike.
 Payload loops
 -------------
 `_binarize` (with `entropy.encode_bins`) and `decode_levels` are the
-normative payload loops. `_rc.c` implements the same two loops in C, bin
-for bin; `compiled()` builds or loads it on first use (`fbv.native`), and
-`encode_residual` and `decode_residual` then run it, for foreground records
-and templates alike, in the caller and in a forked worker, which inherits
-what the caller resolved. Where it cannot be built or loaded, the Python
-loops run; both give the same bytes and levels, and raise the same errors.
+normative payload loops; `decode_levels` reads `_binarize`'s bins back
+through `entropy.bin_decoder`, so no coder rule is written out here. `_rc.c`
+implements the same two loops in C, bin for bin; `compiled()` builds or
+loads it on first use (`fbv.native`), and `encode_residual` and
+`decode_residual` then run it, for foreground records and templates alike,
+in the caller and in a forked worker, which inherits what the caller
+resolved. Where it cannot be built or loaded, the Python loops run; both
+give the same bytes and levels, and raise the same errors.
 """
 
 from __future__ import annotations
@@ -55,9 +57,8 @@ from typing import Sequence
 import numpy as np
 
 from . import native
-from .entropy import (HALVE_AT, MAX_EG0_PREFIX, PROB_BITS, RANGE_MIN, ContextModel,
-                      EntropyDecodeError, check_termination, decode_start, eg0_bins,
-                      encode_bins, renormalize)
+from .entropy import (ContextModel, EntropyDecodeError, bin_decoder, decode_eg0, eg0_bins,
+                      encode_bins)
 
 # rotation schedule for the odd half: ('rot', j, i, p, u) or ('neg2', j, i)
 _ODD_OPS = (
@@ -332,29 +333,17 @@ def decode_residual(data: bytes, shapes: Sequence[tuple[int, int]],
     return patches
 
 
-# what the next bin of a block codes, in decode_levels
-_ZERO, _SIG, _SIGN, _PREFIX, _SUFFIX, _LAST = range(6)
-_ZERO_BLOCK = [0] * 64
-
-
 def decode_levels(data: bytes, blocks: Sequence[int], top: int) -> list[int]:
     """A payload's signed zigzag levels, 64 per 8x8 block, in coding order:
     patch by patch, plane by plane, blocks[p] blocks per plane of patch p.
 
-    One loop decodes every bin of the payload. The coder state (pos, code,
-    rng and the model's counters) lives in local variables, and the bin
-    decode, written once, follows the coder description in `fbv.entropy`.
-    `step` names the element of the binarization (see `_binarize`) the bin
-    belongs to; after each bin it picks the next step and context. The
-    output grows by one block as each block's decode begins, so a payload
-    that claims more blocks than it codes fails before its claim is
-    allocated.
+    The bins are `_binarize`'s, read back in its order through
+    `entropy.bin_decoder`. The output grows by one block as each block's
+    decode begins, so a payload that claims more blocks than it codes fails
+    before its claim is allocated.
     """
-    model = residual_context_model()
-    c0, c1 = model.c0, model.c1
-    pos, code, rng = decode_start(data)
+    decode, finish = bin_decoder(data, residual_context_model())
     out: list[int] = []
-    at = 0
     for n in blocks:
         for ch in range(3):
             cc = 0 if ch == 0 else 1
@@ -362,94 +351,28 @@ def decode_levels(data: bytes, blocks: Sequence[int], top: int) -> list[int]:
             mag, esc = _CTX_MAG_PREFIX + cc * 4, _CTX_ESC_PREFIX + cc * 3
             sig_ctx, last_ctx = _SIG_CTX[cc], _LAST_CTX[cc]
             for _ in range(n):
-                out += _ZERO_BLOCK
-                step, ctx, i = _ZERO, zero_ctx, 0
-                while True:
-                    n0 = c0[ctx]
-                    n1 = c1[ctx]
-                    # n1 >= 1 keeps p0 <= 2047, so only the floor needs a clamp
-                    t = n0 + n1
-                    bound = (rng >> PROB_BITS) * ((n0 << PROB_BITS) // t or 1)
-                    if code < bound:
-                        bit = 0
-                        rng = bound
-                        c0[ctx] = n0 + 1
-                    else:
-                        bit = 1
-                        code -= bound
-                        rng -= bound
-                        c1[ctx] = n1 + 1
-                    if t + 1 >= HALVE_AT:
-                        c0[ctx] = (c0[ctx] + 1) >> 1
-                        c1[ctx] = (c1[ctx] + 1) >> 1
-                    if rng < RANGE_MIN:
-                        pos, code, rng = renormalize(data, pos, code, rng)
-
-                    if step == _PREFIX:             # exp-Golomb: k one bins, then a zero
-                        if bit:
-                            k += 1
-                            if k > MAX_EG0_PREFIX:
-                                raise EntropyDecodeError(
-                                    "exp-Golomb prefix overrun: payload corrupt")
-                            ctx = prefix + (k if k < cap else cap)
-                            continue
-                        value = 1
-                        if k:
-                            step, ctx = _SUFFIX, suffix
-                            continue
-                    elif step == _SIG:
-                        if bit:
-                            step, ctx = _SIGN, sign_ctx
-                        elif i < 63:
-                            i += 1
-                            ctx = sig_ctx[i]
-                        elif any(out[at:at + 64]):    # position 63 ends the block
-                            break
-                        else:
-                            raise EntropyDecodeError("non-zero block decoded with no coefficients")
+                at = len(out)
+                out += [0] * 64
+                if decode(zero_ctx):
+                    continue
+                sig = 0
+                for i in range(64):     # a significance bin's context takes the previous one
+                    sig = decode(sig_ctx[i] + sig)
+                    if not sig:
                         continue
-                    elif step == _SUFFIX:           # k bins, most significant first
-                        value = (value << 1) | bit
-                        k -= 1
-                        if k:
-                            continue
-                    elif step == _SIGN:
-                        neg = bit
-                        escape = False
-                        if top > 1:
-                            step, ctx, k = _PREFIX, mag, 0
-                            prefix, cap, suffix = mag, 2, mag + 3
-                            continue
-                        value = 1                   # at levels 1 the center index is 1
-                    elif step == _LAST:
-                        if bit:
-                            break
-                        i += 1
-                        step, ctx = _SIG, sig_ctx[i] + 1
-                        continue
-                    elif bit:                       # _ZERO: an all-zero block
-                        break
-                    else:
-                        step, ctx = _SIG, sig_ctx[0]
-                        continue
-                    # a center index (value) or an escape (value - 1) is complete
-                    if escape:
-                        c = top + value - 1
-                    else:
-                        c = value
-                        if c > top:
-                            raise EntropyDecodeError("magnitude exceeds center range")
-                        if c == top:
-                            escape = True
-                            step, ctx, k = _PREFIX, esc, 0
-                            prefix, cap, suffix = esc, 1, esc + 2
-                            continue
+                    neg = decode(sign_ctx)
+                    c = decode_eg0(decode, mag, mag + 3, 3) + 1 if top > 1 else 1
+                    if c > top:
+                        raise EntropyDecodeError("magnitude exceeds center range")
+                    if c == top:
+                        c += decode_eg0(decode, esc, esc + 2, 2)
                     out[at + i] = -c if neg else c
-                    if i == 63:
+                    if i < 63 and decode(last_ctx[i]):
                         break
-                    step, ctx = _LAST, last_ctx[i]
-                at += 64
-    check_termination(data, pos, code, rng)
+                else:       # position 63 ends the block
+                    if not any(out[at:]):
+                        raise EntropyDecodeError("non-zero block decoded with no coefficients")
+    finish()
     return out
 
 

@@ -4,9 +4,9 @@ A straightforward realization of the normative description in
 `fbv.entropy`: one method call per bin on a coder object, order-0
 exp-Golomb helpers on top of it, and the residual block and flow
 binarizations written bin by bin. It is slow and kept only as the oracle
-for `tests/test_entropy.py`: the inlined loops in `fbv.entropy`,
-`fbv.residual` and `fbv.motion` must produce the same payload bytes and
-decode the same values, and fail with the same error class.
+for `tests/test_entropy.py` and `tests/test_rc.py`: the payload loops in
+`fbv.entropy`, `fbv.residual` and `fbv.motion` must produce the same payload
+bytes and decode the same values, and fail with the same error.
 """
 
 from __future__ import annotations
@@ -143,25 +143,17 @@ class RangeDecoder:
             self.range <<= 8
         return bit
 
-    def decode_half(self) -> int:
-        bound = self.range >> 1
-        if self.code < bound:
-            bit = 0
-            self.range = bound
-        else:
-            bit = 1
-            self.code -= bound
-            self.range -= bound
-        while self.range < _BOT:
-            self.code = ((self.code << 8) | self._next_byte()) & 0xFFFFFFFF
-            self.range <<= 8
-        return bit
-
     def finish(self) -> None:
-        """Verify the 16 termination check bits."""
+        """Verify the 16 termination check bits, each one before the bytes
+        its renormalization reads."""
         for _ in range(16):
-            if self.decode_half() != 0:
+            bound = self.range >> 1
+            if self.code >= bound:
                 raise EntropyDecodeError("termination check failed: payload corrupt")
+            self.range = bound
+            while self.range < _BOT:
+                self.code = ((self.code << 8) | self._next_byte()) & 0xFFFFFFFF
+                self.range <<= 8
 
 
 def encode_unary_eg0(enc: RangeEncoder, value: int, ctx_prefix: int, ctx_suffix: int,

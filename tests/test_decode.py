@@ -139,6 +139,16 @@ class TestMultiRegion:
         assert row[19] == 80        # D=2 from b
         assert row[20] == 70        # D=1 from b
 
+    def test_a_region_others_surround_feathers_nothing(self):
+        # a and c cover every pixel within BAND of b in the corner, so b owns
+        # no band pixel, and the three feather exactly as their union does
+        b, a, c = Region(0, 0, 8, 8), Region(8, 0, 8, 16), Region(0, 8, 8, 8)
+        union = Region(0, 0, 16, 16)
+        comp = _two_tone(union)
+        out = enhance(comp, RegionSet((b, a, c), 32, 32))
+        assert not np.array_equal(out.planes, comp.planes)
+        assert np.array_equal(out.planes, enhance(comp, RegionSet((union,), 32, 32)).planes)
+
     def test_disjoint_regions_do_not_interact(self):
         a = Region(4, 4, 8, 8)
         b = Region(20, 20, 8, 8)

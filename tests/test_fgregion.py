@@ -176,6 +176,16 @@ class TestAgainstOracle:
         want = _o_pipeline(points, h, w)
         assert _as_boxes(got) == want
 
+    def test_blob_against_a_narrow_last_column(self):
+        # the dilated blob starts in the last grid column, 7 pixels wide here:
+        # the snap moves its left edge back to keep one whole cell
+        h, w = 32, 39
+        points = np.zeros((h, w), dtype=bool)
+        points[8:20, 34:39] = True
+        got = fp(_frame(h, w), points)
+        assert _as_boxes(got) == _o_pipeline(points, h, w)
+        assert [(r.x, r.w) for r in got.regions] == [(w - GRID, GRID)]
+
     def test_two_separated_blobs(self):
         h = w = 48
         points = np.zeros((h, w), dtype=bool)

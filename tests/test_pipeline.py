@@ -244,6 +244,28 @@ class TestDecode:
                 score(sq_video, stream, len(sq_result.data), frames)
             assert not isinstance(err.value, ConfigError)
 
+    def test_background_and_foreground_frames_mix(self):
+        # frame 0 has no foreground and scores whole into the background score;
+        # frame 1 has one region and differs from its source only inside it
+        rng = np.random.default_rng(7)
+        src = [Frame(rng.integers(0, 256, (3, 32, 32), dtype=np.uint8), t) for t in range(2)]
+        noisy = src[0].planes + rng.integers(-20, 21, (3, 32, 32))
+        changed = src[1].planes.copy()
+        changed[:, 8:16, 8:24] ^= 0x55
+        rec = [Frame(np.clip(noisy, 0, 255).astype(np.uint8), 0), Frame(changed, 1)]
+        regions = RegionSet((Region(8, 8, 16, 8),), 32, 32)
+        stream = FbvStream(StreamHeader(32, 32, 25, 1, 2, 2, 512, 9800), (), ())
+        q = score(VideoSequence(tuple(src), 25, 1), stream, 1000,
+                  [(rec[0], None), (rec[1], regions)])
+        whole = ms_ssim(src[0], rec[0])
+        inside = regions.mask
+        m_f = ms_ssim(np.where(inside, src[1].planes, 0), np.where(inside, rec[1].planes, 0))
+        m_b = (whole + 1.0) / 2         # frame 1's background is exact
+        r_f = 128 / 1024 / 2            # the region's area, averaged over both frames
+        assert q.ms_ssim_per_frame[0] == whole
+        assert 0.1 < m_f < whole < 0.99
+        assert q.fb_mixture == pytest.approx((1 - r_f) * m_f + r_f * m_b, abs=1e-12)
+
     def test_pipeline_holds_no_scorer(self):
         for name in ("psnr", "laplacian_sharpness", "fb_mixture", "rd_objective"):
             assert not hasattr(pipeline, name), name

@@ -15,7 +15,10 @@ are sampled.)
 Every parity test skips, with the reason, where the compiled coder cannot
 be built or loaded; the Python coder is then the only one and the rest of
 the suite runs on it. A build that fails, for want of a working compiler or
-of a writable cache, leaves the Python coder in use, silently.
+of a writable cache, leaves the Python coder in use, silently. One test
+needs no compiler: on drawn payloads, and on every truncation and
+single-bit flip of them, the Python loop and `tests/refcoder.py` give the
+same levels, or the same exception class and message.
 """
 
 import os
@@ -121,6 +124,33 @@ def test_drawn_payloads_code_alike_on_every_path(drawn):
             bad = bytearray(data)
             bad[at] ^= 1 << bit
             _same_outcome(bytes(bad), blocks, top)
+
+
+def _reference_levels(data, blocks, top):
+    shapes = [(8, 8 * n) for n in blocks]
+    return np.concatenate([lv.ravel() for lv in refcoder.decode_levels(data, shapes, top)]
+                          ).tolist()
+
+
+@given(payloads())
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+def test_python_loop_decodes_as_the_reference_does(drawn):
+    # no compiler needed: the Python loop against the per-bin reference alone
+    levels, patches = drawn
+    top = (1 << levels) - 1
+    blocks = [lv.shape[1] for lv in patches]
+    data = _reference_bytes(patches, top)
+    want = np.concatenate([lv.ravel() for lv in patches]).tolist()
+    assert decode_levels(data, blocks, top) == _reference_levels(data, blocks, top) == want
+    damaged = [data[:n] for n in range(len(data))]
+    for at in range(len(data)):
+        for bit in range(8):
+            bad = bytearray(data)
+            bad[at] ^= 1 << bit
+            damaged.append(bytes(bad))
+    for bad in damaged:
+        assert _outcome(lambda: decode_levels(bad, blocks, top)) == \
+            _outcome(lambda: _reference_levels(bad, blocks, top))
 
 
 @lru_cache(maxsize=None)
