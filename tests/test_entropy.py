@@ -103,6 +103,28 @@ class TestTamper:
         assert caught + changed > 0
         assert caught > 0   # the final check bits fire for at least some flips
 
+    # An empty payload is 7 bytes: the preamble, then one byte for each of the
+    # two renormalizations of the termination (after check bits 9 and 16).
+    # Preamble code 0x00010000 passes check bits 1-9; the first termination
+    # byte (0) makes it 0x01000000, which fails check bit 16 alone, the one
+    # whose renormalization would read the missing seventh byte. Code
+    # 0x0000FFFF instead passes all 16 and runs out at that read.
+    @pytest.mark.parametrize("data, message", [
+        (bytes([0, 0, 1, 0, 0, 0]), "termination check failed: payload corrupt"),
+        (bytes([0, 0, 0, 0xFF, 0xFF, 0]), "payload truncated mid-symbol"),
+    ], ids=["check bit 16 fails", "all check bits pass"])
+    def test_a_check_bit_is_checked_before_its_renormalization_reads(self, data, message):
+        decoders = [lambda: decode_bits(data, ContextModel(1), 0),
+                    lambda: refcoder.RangeDecoder(data, ContextModel(1)).finish(),
+                    lambda: decode_levels(data, [0], 3)]
+        rc = compiled()
+        if rc is not None:
+            decoders.append(lambda: rc.decode_levels(data, [0], 3))
+        for decode in decoders:
+            with pytest.raises(EntropyDecodeError) as exc:
+                decode()
+            assert str(exc.value) == message
+
 
 class TestContextPlan:
     """Every bit has exactly one context, and every context is in the model."""

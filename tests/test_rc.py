@@ -12,13 +12,14 @@ exception class and message. (Every truncation of the golden streams'
 7.9 KB anchor templates alone would cost the Python loop minutes, so those
 are sampled.)
 
-Every parity test skips, with the reason, where the compiled coder cannot
+The drawn-payload test needs no compiler: it holds the Python loop to
+`tests/refcoder.py` on the intact payload and on every truncation and
+single-bit flip (the same levels, or the same exception class and message),
+and the compiled coder joins that comparison wherever it is built. Every
+other parity test skips, with the reason, where the compiled coder cannot
 be built or loaded; the Python coder is then the only one and the rest of
 the suite runs on it. A build that fails, for want of a working compiler or
-of a writable cache, leaves the Python coder in use, silently. One test
-needs no compiler: on drawn payloads, and on every truncation and
-single-bit flip of them, the Python loop and `tests/refcoder.py` give the
-same levels, or the same exception class and message.
+of a writable cache, leaves the Python coder in use, silently.
 """
 
 import os
@@ -103,29 +104,6 @@ def payloads(draw):
     return draw(st.integers(1, 12)), patches
 
 
-@needs_core
-@given(payloads())
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
-def test_drawn_payloads_code_alike_on_every_path(drawn):
-    levels, patches = drawn
-    top = (1 << levels) - 1
-    blocks = [lv.shape[1] for lv in patches]
-    flat = np.concatenate([lv.ravel() for lv in patches])
-    data = RC.encode_levels(flat, blocks, top)
-    assert data == _python_bytes(patches, top) == _reference_bytes(patches, top)
-    want = flat.tolist()
-    assert _core_levels(data, blocks, top) == decode_levels(data, blocks, top) == want
-    ref = refcoder.decode_levels(data, [(8, 8 * n) for n in blocks], top)
-    assert np.concatenate([lv.ravel() for lv in ref]).tolist() == want
-    for n in range(len(data)):
-        _same_outcome(data[:n], blocks, top)
-    for at in range(len(data)):
-        for bit in range(8):
-            bad = bytearray(data)
-            bad[at] ^= 1 << bit
-            _same_outcome(bytes(bad), blocks, top)
-
-
 def _reference_levels(data, blocks, top):
     shapes = [(8, 8 * n) for n in blocks]
     return np.concatenate([lv.ravel() for lv in refcoder.decode_levels(data, shapes, top)]
@@ -133,15 +111,20 @@ def _reference_levels(data, blocks, top):
 
 
 @given(payloads())
-@settings(max_examples=30, derandomize=True, database=None, deadline=None)
-def test_python_loop_decodes_as_the_reference_does(drawn):
-    # no compiler needed: the Python loop against the per-bin reference alone
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+def test_drawn_payloads_code_alike_on_every_path(drawn):
+    # needs no compiler: the compiled coder joins in only where it is built
     levels, patches = drawn
     top = (1 << levels) - 1
     blocks = [lv.shape[1] for lv in patches]
+    flat = np.concatenate([lv.ravel() for lv in patches])
     data = _reference_bytes(patches, top)
-    want = np.concatenate([lv.ravel() for lv in patches]).tolist()
+    assert _python_bytes(patches, top) == data
+    want = flat.tolist()
     assert decode_levels(data, blocks, top) == _reference_levels(data, blocks, top) == want
+    if RC is not None:
+        assert RC.encode_levels(flat, blocks, top) == data
+        assert _core_levels(data, blocks, top) == want
     damaged = [data[:n] for n in range(len(data))]
     for at in range(len(data)):
         for bit in range(8):
@@ -149,8 +132,10 @@ def test_python_loop_decodes_as_the_reference_does(drawn):
             bad[at] ^= 1 << bit
             damaged.append(bytes(bad))
     for bad in damaged:
-        assert _outcome(lambda: decode_levels(bad, blocks, top)) == \
-            _outcome(lambda: _reference_levels(bad, blocks, top))
+        got = _outcome(lambda: decode_levels(bad, blocks, top))
+        assert got == _outcome(lambda: _reference_levels(bad, blocks, top))
+        if RC is not None:
+            assert got == _outcome(lambda: _core_levels(bad, blocks, top))
 
 
 @lru_cache(maxsize=None)
